@@ -61,42 +61,39 @@
 #      noise the floor already absorbs — while enabled per-function
 #      export stays within AC_CERT_MAX_ENABLED_RATIO (default 2.0) of
 #      the disabled wall.
-#  10. Fleet: accached + two authenticated TCP acd shards + acrouter on
-#      loopback. The golden corpora served through the router must match
-#      the checked-in fixtures byte for byte; a SIGKILL of one shard
-#      mid-replay must not move a byte (ring reroute); restarting both
-#      shards with wiped cache directories must refill them from the
-#      remote tier (every shard that serves work reports remote_hits in
-#      its stats) with byte-identical output; drain must stop the fleet
-#      cleanly. Unless --skip-perf, the fleet benchmark then runs and
-#      its BENCH_fleet.json must lint (aclint fleet) with >= 5x speedup
-#      at 4 shards and a >= 0.9 multi-shard remote hit rate.
-#  11. Fleet soak: accached + three authenticated TCP shards (tenant
-#      quotas on) + acrouter, all real processes (ASan builds unless
-#      --skip-asan), under a SIGKILL/restart schedule — shard victims,
-#      gaps and the request mix all derived from one pinned seed
-#      (AC_SOAK_SEED, default 20260808, so a failing soak replays
-#      exactly). The load is bulk/interactive multi-tenant traffic via
-#      acc --priority/--tenant; every request must exit 0 with bytes
-#      identical to the checked-in goldens (mid-churn the router
-#      reroutes or acc degrades in-process — either way the bytes hold).
-#      Afterwards every shard's Prometheus exposition must lint with the
-#      overload counters present (aclint metrics --require), at least
-#      one shard must have per-tenant samples, and the fleet must drain
-#      cleanly.
-#  12. Fleet observability: accached + three shards + acrouter all with
-#      --trace (live span buffers), router scraping the store (--cache)
-#      and armed to hedge its first deadline-carrying forward
-#      (AC_FAULTS=router.hedge.fire). One traced hedged request must
-#      come back byte-identical; actrace must then pull every member's
-#      fragment and merge them into one trace that lints (aclint trace)
-#      and holds the fleet invariants (aclint fleettrace: one trace id,
-#      >= 3 processes, every parent span ref resolving). The router's
-#      federated `metrics` must be one lint-clean exposition carrying
-#      the latency histograms, winner attribution (summing to exactly
-#      the one completed request), shard_id labels, exemplars, and the
-#      per-block scrape-age gauge; actop must render the fleet and emit
-#      the raw payload with --once --json. Unless --skip-perf, the
+#  10. Fleet: accached + one authenticated TCP-only acd writing through
+#      to it, on loopback. A wrong token must be refused with auth_failed
+#      (a check presenting it must not fall back to a local run); the
+#      golden corpora served over TCP must match the checked-in fixtures
+#      byte for byte; a SIGKILL of the acd mid-request must leave acc's
+#      in-process fallback with the exact golden bytes; restarting the
+#      acd on its port with a wiped cache directory must refill it from
+#      the remote tier (remote_hits > 0 in its stats) with byte-identical
+#      output; drain must stop both daemons cleanly. Unless --skip-perf,
+#      the fleet benchmark then runs and its BENCH_fleet.json must lint
+#      (aclint fleet) with >= 5x speedup of the acd + warm accached pass
+#      over the cold standalone acd and a >= 0.9 remote hit rate.
+#  11. Fleet soak: accached + one authenticated TCP acd (tenant quotas
+#      on), both real processes (ASan builds unless --skip-asan), under a
+#      seeded SIGKILL/restart schedule of accached — gaps and the request
+#      mix all derived from one pinned seed (AC_SOAK_SEED, default
+#      20260808, so a failing soak replays exactly). The load is
+#      bulk/interactive multi-tenant traffic via acc --priority/--tenant
+#      spread over three cache directories; the acd itself
+#      (--no-fallback) must answer every request with bytes identical to
+#      the checked-in goldens. Afterwards a corpus checked under two fresh
+#      cache directories must be a remote hit (the tier recovered), the
+#      daemon's Prometheus exposition must lint with the overload
+#      counters and every tenant's samples present, and both daemons
+#      must drain cleanly.
+#  12. Fleet observability: accached + one acd, both with --trace (live
+#      span buffers). One traced request against the cold acd must come
+#      back byte-identical; actrace must then pull both fragments and
+#      merge them into one trace that lints (aclint trace) and holds the
+#      fleet invariants (aclint fleettrace: one trace id, both processes,
+#      every parent span ref resolving). Both Prometheus expositions must
+#      lint, the acd's carrying its latency histograms, shard_id label
+#      and an exemplar naming the traced request. Unless --skip-perf, the
 #      tracing machinery's cost is then bounded on table5_scaling's
 #      seL4-scale row: the summed AutoCorres CPU with live tracing
 #      *enabled* must stay within 2% of the disabled run — and the
@@ -717,14 +714,13 @@ else
        "enabled ${WON}s within ${MAX_RATIO}x"
 fi
 
-pass "tier-1 pass 10: fleet (TCP auth, acrouter, remote cache tier)"
-cmake --build build -j --target acd acc acrouter accached aclint \
-  fleet_throughput >/dev/null
+pass "tier-1 pass 10: fleet (TCP auth, one acd + accached remote tier)"
+cmake --build build -j --target acd acc accached aclint fleet_throughput \
+  >/dev/null
 FLEET="$ACD_DIR/fleet"
 mkdir -p "$FLEET"
 TOK="$FLEET/token"
 echo "tier1-fleet-secret" >"$TOK"
-ACROUTER="build/tools/acrouter"
 ACCACHED="build/tools/accached"
 FLEET_PIDS=()
 fleet_cleanup() {
@@ -743,9 +739,21 @@ port_of() { # log-file -> announced TCP port (polls until the line lands)
   done
   echo "$p"
 }
+wait_ping() { # acc endpoint args... -> polls until the daemon answers
+  for _ in $(seq 100); do
+    "$ACC" "$@" --ping >/dev/null 2>&1 && return 0
+    sleep 0.1
+  done
+  echo "tier-1: FAILED — no ping answer from $*" >&2
+  return 1
+}
+remote_hits() { # port token-file -> the daemon's top-level remote_hits
+  "$ACC" --connect "127.0.0.1:$1" --auth-token-file "$2" --stats |
+    grep -o '"remote_hits":[0-9]*' | head -1 | cut -d: -f2
+}
 
-# 10a. Boot the fleet: one accached, two authenticated TCP-only shards
-#      writing through to it, one acrouter in front of both.
+# 10a. Boot: one accached and one authenticated TCP-only acd writing
+#      through to it.
 "$ACCACHED" --listen 127.0.0.1:0 --auth-token-file "$TOK" \
   >"$FLEET/accached.log" 2>&1 &
 CACHED_PID=$!
@@ -756,177 +764,127 @@ if [[ -z "$CPORT" ]]; then
   cat "$FLEET/accached.log" >&2
   exit 1
 fi
-start_shard() { # name cache-dir listen-spec -> pid (port via log)
+start_acd() { # name cache-dir listen-port(0=ephemeral); pid in $!
   "$ACD" --socket none --listen "127.0.0.1:$3" --auth-token-file "$TOK" \
     --shard-id "$1" --cache-dir "$2" --remote-cache "127.0.0.1:$CPORT" \
     --remote-token-file "$TOK" >"$FLEET/$1.log" 2>&1 &
 }
-start_shard s1 "$FLEET/cache-s1" 0
-S1_PID=$!
-FLEET_PIDS+=("$S1_PID")
-start_shard s2 "$FLEET/cache-s2" 0
-S2_PID=$!
-FLEET_PIDS+=("$S2_PID")
-P1="$(port_of "$FLEET/s1.log")"
-P2="$(port_of "$FLEET/s2.log")"
-if [[ -z "$P1" || -z "$P2" ]]; then
-  echo "tier-1: FAILED — a fleet shard did not announce its port." >&2
-  cat "$FLEET/s1.log" "$FLEET/s2.log" >&2
+start_acd a1 "$FLEET/cache-a1" 0
+A_PID=$!
+FLEET_PIDS+=("$A_PID")
+APORT="$(port_of "$FLEET/a1.log")"
+if [[ -z "$APORT" ]]; then
+  echo "tier-1: FAILED — the TCP acd did not announce its port:" >&2
+  cat "$FLEET/a1.log" >&2
   exit 1
 fi
-"$ACROUTER" --listen 127.0.0.1:0 --auth-token-file "$TOK" \
-  --shard "127.0.0.1:$P1" --shard "127.0.0.1:$P2" \
-  --shard-token-file "$TOK" >"$FLEET/router.log" 2>&1 &
-ROUTER_PID=$!
-FLEET_PIDS+=("$ROUTER_PID")
-RPORT="$(port_of "$FLEET/router.log")"
-if [[ -z "$RPORT" ]]; then
-  echo "tier-1: FAILED — acrouter did not announce its port:" >&2
-  cat "$FLEET/router.log" >&2
-  exit 1
-fi
-ROUTER=(--router "127.0.0.1:$RPORT" --auth-token-file "$TOK")
-for _ in $(seq 100); do
-  "$ACC" "${ROUTER[@]}" --ping >/dev/null 2>&1 && break
-  sleep 0.1
-done
-# A wrong token must be refused with the typed error before any op.
-if "$ACC" --router "127.0.0.1:$RPORT" --auth-token-file /dev/null \
+FLEETC=(--connect "127.0.0.1:$APORT" --auth-token-file "$TOK")
+wait_ping "${FLEETC[@]}"
+# A wrong token must be refused with the typed error before any op, and
+# a check presenting it must fail rather than degrade to a local run.
+echo "wrong-token" >"$FLEET/bad-token"
+if "$ACC" --connect "127.0.0.1:$APORT" --auth-token-file "$FLEET/bad-token" \
     --ping >/dev/null 2>"$FLEET/badauth.err"; then
-  echo "tier-1: FAILED — the router accepted a connection without the" \
-       "shared token." >&2
+  echo "tier-1: FAILED — acd accepted a connection with a wrong token." >&2
+  exit 1
+fi
+if "$ACC" --connect "127.0.0.1:$APORT" --auth-token-file "$FLEET/bad-token" \
+    --corpus max --golden >/dev/null 2>"$FLEET/badauth.err"; then
+  echo "tier-1: FAILED — a check with a wrong token was served or fell" \
+       "back to a local run." >&2
+  exit 1
+fi
+if ! grep -q 'auth_failed' "$FLEET/badauth.err"; then
+  echo "tier-1: FAILED — a wrong token was not refused with auth_failed:" >&2
+  cat "$FLEET/badauth.err" >&2
   exit 1
 fi
 
-# 10b. Golden corpora through the router: the fixtures are the
-#      single-daemon reference, so byte-equality is the fleet's
+# 10b. Golden corpora over TCP: the fixtures are the Unix-socket and
+#      in-process reference, so byte-equality is the transport's
 #      correctness gate.
 for c in max gcd swap midpoint reverse; do
-  "$ACC" "${ROUTER[@]}" --no-fallback --corpus "$c" --golden \
-    >"$FLEET/$c.fleet"
-  if ! cmp -s "$FLEET/$c.fleet" "tests/golden/$c.expected"; then
-    echo "tier-1: FAILED — router-served $c diverged from" \
+  "$ACC" "${FLEETC[@]}" --no-fallback --corpus "$c" --golden \
+    >"$FLEET/$c.tcp"
+  if ! cmp -s "$FLEET/$c.tcp" "tests/golden/$c.expected"; then
+    echo "tier-1: FAILED — TCP-served $c diverged from" \
          "tests/golden/$c.expected:" >&2
-    diff "tests/golden/$c.expected" "$FLEET/$c.fleet" | head >&2
+    diff "tests/golden/$c.expected" "$FLEET/$c.tcp" | head >&2
     exit 1
   fi
 done
 # Write-through must have populated the shared store.
-CSTATS="$("$ACC" --router "127.0.0.1:$CPORT" --auth-token-file "$TOK" \
+CSTATS="$("$ACC" --connect "127.0.0.1:$CPORT" --auth-token-file "$TOK" \
   --stats)"
 if ! grep -qE '"puts":[1-9]' <<<"$CSTATS"; then
   echo "tier-1: FAILED — accached saw no write-through puts: $CSTATS" >&2
   exit 1
 fi
-echo "golden corpora byte-identical through the router; store populated"
+echo "golden corpora byte-identical over TCP; store populated"
 
-# 10c. SIGKILL shard s1 mid-replay: the router must reroute in ring
-#      order and the replay must still not move a byte.
-(
-  for c in max gcd swap midpoint reverse; do
-    "$ACC" "${ROUTER[@]}" --no-fallback --debug-delay-ms 200 \
-      --corpus "$c" --golden >"$FLEET/$c.killed"
-  done
-) &
-REPLAY_PID=$!
-sleep 0.4 # land the kill mid-replay
-kill -KILL "$S1_PID"
-REPLAY_RC=0
-wait "$REPLAY_PID" || REPLAY_RC=$?
-if [[ "$REPLAY_RC" != 0 ]]; then
-  echo "tier-1: FAILED — replay exited $REPLAY_RC after shard s1 was" \
-       "SIGKILLed (router log follows):" >&2
-  tail -20 "$FLEET/router.log" >&2
+# 10c. SIGKILL the acd mid-request: acc must degrade to an in-process run
+#      with the exact golden bytes — the same fallback contract as the
+#      Unix socket (pass 6c), now over TCP.
+"$ACC" "${FLEETC[@]}" --corpus max --debug-delay-ms 3000 --golden \
+  >"$FLEET/max.killed" 2>"$FLEET/max.killed.err" &
+ACC_PID=$!
+sleep 0.5 # let the request reach the daemon's session worker
+kill -KILL "$A_PID"
+ACC_RC=0
+wait "$ACC_PID" || ACC_RC=$?
+if [[ "$ACC_RC" != 0 ]] ||
+    ! cmp -s "$FLEET/max.killed" "tests/golden/max.expected"; then
+  echo "tier-1: FAILED — acc over TCP exited $ACC_RC or diverged after" \
+       "its daemon was SIGKILLed mid-request:" >&2
+  cat "$FLEET/max.killed.err" >&2
+  exit 1
+fi
+if ! grep -q 'falling back' "$FLEET/max.killed.err"; then
+  echo "tier-1: FAILED — acc did not report its in-process fallback:" >&2
+  cat "$FLEET/max.killed.err" >&2
+  exit 1
+fi
+echo "acd SIGKILL mid-request: TCP client fell back byte-identically"
+
+# 10d. Cold restart: the acd comes back on its old port with a wiped
+#      cache directory, and the replay must be served out of the remote
+#      tier — refilled from accached, not recomputed.
+start_acd a1-cold "$FLEET/cache-a1-cold" "$APORT"
+A_PID=$!
+FLEET_PIDS+=("$A_PID")
+if ! wait_ping "${FLEETC[@]}"; then
+  cat "$FLEET/a1-cold.log" >&2
   exit 1
 fi
 for c in max gcd swap midpoint reverse; do
-  if ! cmp -s "$FLEET/$c.killed" "tests/golden/$c.expected"; then
-    echo "tier-1: FAILED — $c diverged after shard s1 was SIGKILLed" \
-         "mid-replay." >&2
-    exit 1
-  fi
-done
-echo "shard SIGKILL mid-replay: all corpora byte-identical"
-
-# 10d. Cold restart: both shards come back on their old ports with
-#      wiped cache directories, and the replay must be served out of the
-#      remote tier — every shard that serves work reports remote hits.
-kill -TERM "$S2_PID"
-S2_RC=0
-wait "$S2_PID" || S2_RC=$?
-if [[ "$S2_RC" != 0 ]]; then
-  echo "tier-1: FAILED — shard s2 exited $S2_RC on SIGTERM drain." >&2
-  exit 1
-fi
-start_shard s1-cold "$FLEET/cache-s1-cold" "$P1"
-S1_PID=$!
-FLEET_PIDS+=("$S1_PID")
-start_shard s2-cold "$FLEET/cache-s2-cold" "$P2"
-S2_PID=$!
-FLEET_PIDS+=("$S2_PID")
-COLD_OK=0
-for _ in $(seq 100); do # wait for the router's probes to revive both
-  if "$ACC" "${ROUTER[@]}" --no-fallback --corpus gcd --golden \
-      >"$FLEET/gcd.revive" 2>/dev/null; then
-    COLD_OK=1
-    break
-  fi
-  sleep 0.1
-done
-if [[ "$COLD_OK" != 1 ]]; then
-  echo "tier-1: FAILED — fleet did not serve again after the cold" \
-       "restart (router log follows):" >&2
-  tail -20 "$FLEET/router.log" >&2
-  exit 1
-fi
-for c in max gcd swap midpoint reverse; do
-  "$ACC" "${ROUTER[@]}" --no-fallback --corpus "$c" --golden \
+  "$ACC" "${FLEETC[@]}" --no-fallback --corpus "$c" --golden \
     >"$FLEET/$c.cold"
   if ! cmp -s "$FLEET/$c.cold" "tests/golden/$c.expected"; then
-    echo "tier-1: FAILED — cold-restarted fleet diverged on $c." >&2
+    echo "tier-1: FAILED — the cold-restarted acd diverged on $c." >&2
     exit 1
   fi
 done
-TOTAL_REMOTE=0
-for port in "$P1" "$P2"; do
-  SSTATS="$("$ACC" --router "127.0.0.1:$port" --auth-token-file "$TOK" \
-    --stats)"
-  DONE="$(grep -o '"completed":[0-9]*' <<<"$SSTATS" | head -1 | cut -d: -f2)"
-  RHITS="$(grep -o '"remote_hits":[0-9]*' <<<"$SSTATS" | head -1 | cut -d: -f2)"
-  if [[ "${DONE:-0}" -gt 0 && "${RHITS:-0}" -eq 0 ]]; then
-    echo "tier-1: FAILED — cold shard on port $port served $DONE" \
-         "requests without a single remote-tier hit: $SSTATS" >&2
-    exit 1
-  fi
-  TOTAL_REMOTE=$((TOTAL_REMOTE + ${RHITS:-0}))
-done
-if [[ "$TOTAL_REMOTE" -eq 0 ]]; then
-  echo "tier-1: FAILED — no shard reported remote-tier hits after the" \
-       "cold restart." >&2
+RHITS="$(remote_hits "$APORT" "$TOK")"
+if [[ "${RHITS:-0}" -eq 0 ]]; then
+  echo "tier-1: FAILED — the cold acd served the corpora without a" \
+       "single remote-tier hit." >&2
   exit 1
 fi
-echo "cold restart refilled from the remote tier ($TOTAL_REMOTE hits)"
+echo "cold restart refilled from the remote tier ($RHITS hits)"
 
-# 10e. Drain the fleet: router first, then shards and the store, all
-#      exiting 0.
-"$ACC" "${ROUTER[@]}" --drain >/dev/null
-ROUTER_RC=0
-wait "$ROUTER_PID" || ROUTER_RC=$?
-if [[ "$ROUTER_RC" != 0 ]]; then
-  echo "tier-1: FAILED — acrouter exited $ROUTER_RC on drain." >&2
-  exit 1
-fi
-for pid in "$S1_PID" "$S2_PID" "$CACHED_PID"; do
-  kill -TERM "$pid"
+# 10e. Drain: the acd on request, then the store, both exiting 0.
+"$ACC" "${FLEETC[@]}" --drain >/dev/null
+kill -TERM "$CACHED_PID"
+for pid in "$A_PID" "$CACHED_PID"; do
   RC=0
   wait "$pid" || RC=$?
   if [[ "$RC" != 0 ]]; then
-    echo "tier-1: FAILED — a fleet daemon exited $RC on SIGTERM." >&2
+    echo "tier-1: FAILED — a fleet daemon exited $RC on drain." >&2
     exit 1
   fi
 done
 FLEET_PIDS=()
-echo "fleet drained cleanly (router, both shards, accached)"
+echo "fleet drained cleanly (acd, accached)"
 
 # 10f. The fleet benchmark and its artifact lint. Machine-dependent like
 #      pass 8, so --skip-perf skips it.
@@ -936,10 +894,10 @@ else
   FLEET_BENCH="$(pwd)/build/bench/fleet_throughput"
   (cd "$FLEET" && "$FLEET_BENCH" >"$FLEET/bench.log" 2>&1) || {
     echo "tier-1: FAILED — fleet_throughput missed its floor:" >&2
-    tail -12 "$FLEET/bench.log" >&2
+    grep -v '^{' "$FLEET/bench.log" | tail -10 >&2
     exit 1
   }
-  tail -7 "$FLEET/bench.log" | head -6
+  grep -v '^{' "$FLEET/bench.log" | tail -9 | head -8
   if ! "$ACLINT" fleet "$FLEET/BENCH_fleet.json" --min-speedup 5 \
       --min-hit-rate 0.9; then
     echo "tier-1: FAILED — BENCH_fleet.json did not lint." >&2
@@ -948,19 +906,18 @@ else
   echo "fleet benchmark held its floor and its artifact linted"
 fi
 
-pass "tier-1 pass 11: fleet soak (seeded SIGKILL churn, priorities + tenants)"
+pass "tier-1 pass 11: fleet soak (seeded accached SIGKILL churn, priorities + tenants)"
 SOAK_SEED="${AC_SOAK_SEED:-20260808}"
 if [[ "$SKIP_ASAN" == 1 ]]; then
   SOAK_BUILD=build
-  cmake --build build -j --target acd acc acrouter accached aclint >/dev/null
+  cmake --build build -j --target acd acc accached aclint >/dev/null
 else
   SOAK_BUILD=build-asan
-  cmake --build build-asan -j --target acd acc acrouter accached >/dev/null
+  cmake --build build-asan -j --target acd acc accached >/dev/null
   cmake --build build -j --target aclint >/dev/null
 fi
 SACD="$SOAK_BUILD/tools/acd"
 SACC="$SOAK_BUILD/tools/acc"
-SACROUTER="$SOAK_BUILD/tools/acrouter"
 SACCACHED="$SOAK_BUILD/tools/accached"
 SOAK="$ACD_DIR/soak"
 mkdir -p "$SOAK"
@@ -970,9 +927,9 @@ echo "tier1-soak-secret" >"$STOK"
 # SIGKILL/exit is noise here, not signal.
 export ASAN_OPTIONS="detect_leaks=0"
 
-# The whole schedule — request mix, churn victims, gap lengths — derives
-# from one pinned seed through a plain LCG, so a failing soak replays
-# exactly with AC_SOAK_SEED.
+# The whole schedule — request mix, churn gaps — derives from one pinned
+# seed through a plain LCG, so a failing soak replays exactly with
+# AC_SOAK_SEED.
 mapfile -t RAND < <(awk -v s="$SOAK_SEED" 'BEGIN {
   for (i = 0; i < 64; i++) {
     s = (s * 1103515245 + 12345) % 2147483648
@@ -981,9 +938,12 @@ mapfile -t RAND < <(awk -v s="$SOAK_SEED" 'BEGIN {
 }')
 echo "soak seed $SOAK_SEED"
 
-# 11a. Boot: accached, three quota-enabled shards, the router.
-"$SACCACHED" --listen 127.0.0.1:0 --auth-token-file "$STOK" \
-  >"$SOAK/accached.log" 2>&1 &
+# 11a. Boot: accached and one quota-enabled acd over it.
+start_soak_cached() { # listen-port(0=ephemeral) log; pid in $!
+  "$SACCACHED" --listen "127.0.0.1:$1" --auth-token-file "$STOK" \
+    >"$SOAK/$2" 2>&1 &
+}
+start_soak_cached 0 accached.log
 SC_PID=$!
 FLEET_PIDS+=("$SC_PID")
 SCPORT="$(port_of "$SOAK/accached.log")"
@@ -992,49 +952,28 @@ if [[ -z "$SCPORT" ]]; then
   cat "$SOAK/accached.log" >&2
   exit 1
 fi
-soak_shard() { # name listen-port(0=ephemeral); pid in $!
-  "$SACD" --socket none --listen "127.0.0.1:$2" --auth-token-file "$STOK" \
-    --shard-id "$1" --cache-dir "$SOAK/cache-$1" \
-    --remote-cache "127.0.0.1:$SCPORT" --remote-token-file "$STOK" \
-    --tenant-quota-rps 200 >"$SOAK/$1.log" 2>&1 &
-}
-declare -a SPORT SPID
-for i in 0 1 2; do
-  soak_shard "soak$i" 0
-  SPID[$i]=$!
-  FLEET_PIDS+=("${SPID[$i]}")
-done
-for i in 0 1 2; do
-  SPORT[$i]="$(port_of "$SOAK/soak$i.log")"
-  if [[ -z "${SPORT[$i]}" ]]; then
-    echo "tier-1: FAILED — soak shard $i did not announce its port:" >&2
-    cat "$SOAK/soak$i.log" >&2
-    exit 1
-  fi
-done
-"$SACROUTER" --listen 127.0.0.1:0 --auth-token-file "$STOK" \
-  --shard "127.0.0.1:${SPORT[0]}" --shard "127.0.0.1:${SPORT[1]}" \
-  --shard "127.0.0.1:${SPORT[2]}" --shard-token-file "$STOK" \
-  >"$SOAK/router.log" 2>&1 &
-SR_PID=$!
-FLEET_PIDS+=("$SR_PID")
-SRPORT="$(port_of "$SOAK/router.log")"
-if [[ -z "$SRPORT" ]]; then
-  echo "tier-1: FAILED — soak acrouter did not announce its port:" >&2
-  cat "$SOAK/router.log" >&2
+"$SACD" --socket none --listen 127.0.0.1:0 --auth-token-file "$STOK" \
+  --shard-id soak --cache-dir "$SOAK/cache" \
+  --remote-cache "127.0.0.1:$SCPORT" --remote-token-file "$STOK" \
+  --tenant-quota-rps 200 >"$SOAK/acd.log" 2>&1 &
+SA_PID=$!
+FLEET_PIDS+=("$SA_PID")
+SAPORT="$(port_of "$SOAK/acd.log")"
+if [[ -z "$SAPORT" ]]; then
+  echo "tier-1: FAILED — soak acd did not announce its port:" >&2
+  cat "$SOAK/acd.log" >&2
   exit 1
 fi
-SOAKR=(--router "127.0.0.1:$SRPORT" --auth-token-file "$STOK")
-for _ in $(seq 100); do
-  "$SACC" "${SOAKR[@]}" --ping >/dev/null 2>&1 && break
-  sleep 0.1
-done
+SOAKC=(--connect "127.0.0.1:$SAPORT" --auth-token-file "$STOK")
+wait_ping "${SOAKC[@]}"
 
 # 11b. The load: 40 requests, 3:1 bulk:interactive, three tenants, the
-#      corpus/tenant picks seeded. Runs concurrently with the churn.
-#      The contract is strict: every request exits 0 carrying the exact
-#      golden bytes — a SIGKILLed shard costs a reroute or an in-process
-#      fallback, never an error and never a byte.
+#      corpus/tenant/cache-directory picks seeded. Each cache directory
+#      is its own memory + disk tier in front of the store, so first
+#      touches keep consulting accached while it churns. The contract is
+#      strict: the daemon itself (--no-fallback) answers every request
+#      with the exact golden bytes — a SIGKILLed store costs a
+#      recompute, never an error and never a byte.
 SOAK_CORPORA=(max gcd swap midpoint reverse)
 SOAK_TENANTS=(t0 t1 t2)
 (
@@ -1043,12 +982,13 @@ SOAK_TENANTS=(t0 t1 t2)
     r="${RAND[$(( i % 64 ))]}"
     c="${SOAK_CORPORA[$(( (r + i) % 5 ))]}"
     t="${SOAK_TENANTS[$(( (r / 5 + i) % 3 ))]}"
+    d="$SOAK/tier$(( (r / 15 + i) % 3 ))"
     prio=bulk
     [[ $(( i % 4 )) -eq 0 ]] && prio=interactive
     out="$SOAK/req-$i.out"
-    if ! "$SACC" "${SOAKR[@]}" --priority "$prio" --tenant "$t" \
-        --trace-id "soak-$i" --corpus "$c" --golden \
-        >"$out" 2>>"$SOAK/load.err"; then
+    if ! "$SACC" "${SOAKC[@]}" --no-fallback --priority "$prio" \
+        --tenant "$t" --cache-dir "$d" --trace-id "soak-$i" --corpus "$c" \
+        --golden >"$out" 2>>"$SOAK/load.err"; then
       echo "soak request $i ($c, $prio, tenant $t) failed" >>"$SOAK/load.err"
       rc=1
     elif ! cmp -s "$out" "tests/golden/$c.expected"; then
@@ -1061,26 +1001,17 @@ SOAK_TENANTS=(t0 t1 t2)
 ) &
 LOAD_PID=$!
 
-# 11c. The churn: three seeded rounds of SIGKILL + same-port restart,
-#      with one accached outage in the middle.
+# 11c. The churn: three seeded rounds of accached SIGKILL + same-port
+#      restart (with an empty store).
 for round in 0 1 2; do
-  v=$(( ${RAND[$(( 40 + round * 3 ))]} % 3 ))
-  g1=$(( 150 + ${RAND[$(( 41 + round * 3 ))]} % 300 ))
-  g2=$(( 100 + ${RAND[$(( 42 + round * 3 ))]} % 200 ))
-  kill -KILL "${SPID[$v]}" 2>/dev/null || true
-  sleep "$(awk -v m="$g1" 'BEGIN { printf "%.3f", m / 1000 }')"
-  soak_shard "soak$v" "${SPORT[$v]}"
-  SPID[$v]=$!
-  FLEET_PIDS+=("${SPID[$v]}")
-  if [[ "$round" -eq 1 ]]; then
-    kill -KILL "$SC_PID" 2>/dev/null || true
-    sleep 0.1
-    "$SACCACHED" --listen "127.0.0.1:$SCPORT" --auth-token-file "$STOK" \
-      >"$SOAK/accached-restart.log" 2>&1 &
-    SC_PID=$!
-    FLEET_PIDS+=("$SC_PID")
-  fi
+  g1=$(( 150 + ${RAND[$(( 40 + round * 2 ))]} % 300 ))
+  g2=$(( 100 + ${RAND[$(( 41 + round * 2 ))]} % 200 ))
   sleep "$(awk -v m="$g2" 'BEGIN { printf "%.3f", m / 1000 }')"
+  kill -KILL "$SC_PID" 2>/dev/null || true
+  sleep "$(awk -v m="$g1" 'BEGIN { printf "%.3f", m / 1000 }')"
+  start_soak_cached "$SCPORT" "accached-restart$round.log"
+  SC_PID=$!
+  FLEET_PIDS+=("$SC_PID")
 done
 LOAD_JOIN_RC=0
 wait "$LOAD_PID" || LOAD_JOIN_RC=$?
@@ -1089,71 +1020,78 @@ if [[ "$LOAD_JOIN_RC" != 0 || "$LOAD_RC" != 0 ]]; then
   echo "tier-1: FAILED — soak load lost requests or bytes under churn" \
        "(AC_SOAK_SEED=$SOAK_SEED replays this schedule):" >&2
   cat "$SOAK/load.err" >&2 || true
-  tail -20 "$SOAK/router.log" >&2
+  tail -20 "$SOAK/acd.log" >&2
   exit 1
 fi
-echo "40 soak requests all exit 0 and byte-identical under seeded churn"
+echo "40 soak requests all served by acd, byte-identical under seeded churn"
 
-# 11d. The overload counters survived into every shard's exposition,
-#      and at least one shard carries per-tenant samples (a freshly
-#      restarted shard may legitimately have an empty tenant ledger).
-TENANT_SEEN=0
-for i in 0 1 2; do
-  "$SACC" --router "127.0.0.1:${SPORT[$i]}" --auth-token-file "$STOK" \
-    --metrics >"$SOAK/metrics-$i.txt"
-  if ! "$ACLINT" metrics "$SOAK/metrics-$i.txt" \
-      --require acd_requests_shed_total \
-      --require acd_requests_quota_rejected_total; then
-    echo "tier-1: FAILED — soak shard $i metrics lost the overload" \
-         "counters (see findings above)." >&2
+# 11d. The store is back: a corpus checked under two fresh cache
+#      directories must be a remote hit the second time — the daemon's
+#      tier re-dialed the restarted accached.
+wait_ping --connect "127.0.0.1:$SCPORT" --auth-token-file "$STOK"
+HITS0="$(remote_hits "$SAPORT" "$STOK")"
+for d in probe-a probe-b; do
+  "$SACC" "${SOAKC[@]}" --no-fallback --cache-dir "$SOAK/$d" --corpus gcd \
+    --golden >"$SOAK/$d.out"
+  if ! cmp -s "$SOAK/$d.out" "tests/golden/gcd.expected"; then
+    echo "tier-1: FAILED — post-churn probe $d diverged from golden." >&2
     exit 1
   fi
-  if grep -q '^acd_tenant_admitted_total{.*tenant=' "$SOAK/metrics-$i.txt"; then
-    TENANT_SEEN=1
+done
+HITS1="$(remote_hits "$SAPORT" "$STOK")"
+if [[ "${HITS1:-0}" -le "${HITS0:-0}" ]]; then
+  echo "tier-1: FAILED — the remote tier served no hit after the churn" \
+       "(remote_hits $HITS0 -> $HITS1)." >&2
+  exit 1
+fi
+echo "remote tier recovered after the churn (remote_hits $HITS0 -> $HITS1)"
+
+# 11e. The overload counters and the per-tenant ledger survived into the
+#      daemon's exposition.
+"$SACC" "${SOAKC[@]}" --metrics >"$SOAK/metrics.txt"
+if ! "$ACLINT" metrics "$SOAK/metrics.txt" \
+    --require acd_requests_shed_total \
+    --require acd_requests_quota_rejected_total \
+    --require acd_tenant_admitted_total; then
+  echo "tier-1: FAILED — soak metrics lost the overload counters (see" \
+       "findings above)." >&2
+  exit 1
+fi
+for t in "${SOAK_TENANTS[@]}"; do
+  if ! grep -q "^acd_tenant_admitted_total{.*tenant=\"$t\"" \
+      "$SOAK/metrics.txt"; then
+    echo "tier-1: FAILED — tenant $t missing from the exposition." >&2
+    exit 1
   fi
 done
-if [[ "$TENANT_SEEN" != 1 ]]; then
-  echo "tier-1: FAILED — no soak shard exposed per-tenant samples." >&2
-  exit 1
-fi
-echo "overload counters present on every shard; tenant ledger populated"
+echo "overload counters present; every tenant in the ledger"
 
-# 11e. Drain: router first, then the shards and the store, all exit 0.
-"$SACC" "${SOAKR[@]}" --drain >/dev/null
-SR_RC=0
-wait "$SR_PID" || SR_RC=$?
-if [[ "$SR_RC" != 0 ]]; then
-  echo "tier-1: FAILED — soak acrouter exited $SR_RC on drain." >&2
-  exit 1
-fi
-for pid in "${SPID[@]}" "$SC_PID"; do
-  kill -TERM "$pid"
+# 11f. Drain: the acd on request, then the store, both exit 0.
+"$SACC" "${SOAKC[@]}" --drain >/dev/null
+kill -TERM "$SC_PID"
+for pid in "$SA_PID" "$SC_PID"; do
   RC=0
   wait "$pid" || RC=$?
   if [[ "$RC" != 0 ]]; then
-    echo "tier-1: FAILED — a soak daemon exited $RC on SIGTERM." >&2
+    echo "tier-1: FAILED — a soak daemon exited $RC on drain." >&2
     exit 1
   fi
 done
 FLEET_PIDS=()
 unset ASAN_OPTIONS
-echo "soak fleet drained cleanly (router, three shards, accached)"
+echo "soak daemons drained cleanly (acd, accached)"
 
-pass "tier-1 pass 12: fleet observability (trace merge, federation, actop)"
-cmake --build build -j --target acd acc acrouter accached actrace actop \
-  aclint table5_scaling >/dev/null
+pass "tier-1 pass 12: fleet observability (trace merge, metrics)"
+cmake --build build -j --target acd acc accached actrace aclint \
+  table5_scaling >/dev/null
 ACTRACE="build/tools/actrace"
-ACTOP="build/tools/actop"
 OBSF="$ACD_DIR/obsfleet"
 mkdir -p "$OBSF"
 OTOK="$OBSF/token"
 echo "tier1-obs-secret" >"$OTOK"
 
-# 12a. Boot a traced fleet: accached + three shards + the router, every
-#      member with --trace so spans accumulate in-process for
-#      trace_pull. The router also scrapes the store (--cache) and is
-#      armed to hedge its first deadline-carrying forward immediately —
-#      the traced request below provably runs on two shards.
+# 12a. Boot a traced pair: accached + one acd, both with --trace so spans
+#      accumulate in-process for trace_pull.
 "$ACCACHED" --listen 127.0.0.1:0 --auth-token-file "$OTOK" --trace \
   >"$OBSF/accached.log" 2>&1 &
 OC_PID=$!
@@ -1164,163 +1102,96 @@ if [[ -z "$OCPORT" ]]; then
   cat "$OBSF/accached.log" >&2
   exit 1
 fi
-obs_shard() { # name -> pid in $!, port via log
-  "$ACD" --socket none --listen 127.0.0.1:0 --auth-token-file "$OTOK" \
-    --shard-id "$1" --cache-dir "$OBSF/cache-$1" \
-    --remote-cache "127.0.0.1:$OCPORT" --remote-token-file "$OTOK" \
-    --trace >"$OBSF/$1.log" 2>&1 &
-}
-declare -a OPORT OPID
-for i in 0 1 2; do
-  obs_shard "obs$i"
-  OPID[$i]=$!
-  FLEET_PIDS+=("${OPID[$i]}")
-done
-for i in 0 1 2; do
-  OPORT[$i]="$(port_of "$OBSF/obs$i.log")"
-  if [[ -z "${OPORT[$i]}" ]]; then
-    echo "tier-1: FAILED — traced shard $i did not announce its port:" >&2
-    cat "$OBSF/obs$i.log" >&2
-    exit 1
-  fi
-done
-AC_FAULTS=router.hedge.fire:1 "$ACROUTER" --listen 127.0.0.1:0 \
-  --auth-token-file "$OTOK" --shard "127.0.0.1:${OPORT[0]}" \
-  --shard "127.0.0.1:${OPORT[1]}" --shard "127.0.0.1:${OPORT[2]}" \
-  --shard-token-file "$OTOK" --cache "127.0.0.1:$OCPORT" --trace \
-  >"$OBSF/router.log" 2>&1 &
-OR_PID=$!
-FLEET_PIDS+=("$OR_PID")
-ORPORT="$(port_of "$OBSF/router.log")"
-if [[ -z "$ORPORT" ]]; then
-  echo "tier-1: FAILED — traced acrouter did not announce its port:" >&2
-  cat "$OBSF/router.log" >&2
+"$ACD" --socket none --listen 127.0.0.1:0 --auth-token-file "$OTOK" \
+  --shard-id obs0 --cache-dir "$OBSF/cache-obs0" \
+  --remote-cache "127.0.0.1:$OCPORT" --remote-token-file "$OTOK" \
+  --trace >"$OBSF/obs0.log" 2>&1 &
+OA_PID=$!
+FLEET_PIDS+=("$OA_PID")
+OAPORT="$(port_of "$OBSF/obs0.log")"
+if [[ -z "$OAPORT" ]]; then
+  echo "tier-1: FAILED — traced acd did not announce its port:" >&2
+  cat "$OBSF/obs0.log" >&2
   exit 1
 fi
-OBSR=(--router "127.0.0.1:$ORPORT" --auth-token-file "$OTOK")
-for _ in $(seq 100); do
-  "$ACC" "${OBSR[@]}" --ping >/dev/null 2>&1 && break
-  sleep 0.1
-done
+OBSC=(--connect "127.0.0.1:$OAPORT" --auth-token-file "$OTOK")
+wait_ping "${OBSC[@]}"
 
-# 12b. One traced, hedged request. The deadline makes it hedge-eligible,
-#      the armed fault fires the hedge timer immediately, and the debug
-#      delay keeps the primary busy long enough that the duplicate
-#      really dispatches — observability must not move a byte.
-"$ACC" "${OBSR[@]}" --no-fallback --trace-id fleet-hedge-1 \
-  --timeout-ms 10000 --debug-delay-ms 300 --corpus gcd --golden \
-  >"$OBSF/gcd.traced"
+# 12b. One traced request against the cold daemon: every function misses
+#      locally, so the acd's remote.get/put spans and the store's
+#      accached.get/put spans all carry its trace id — and
+#      observability must not move a byte.
+"$ACC" "${OBSC[@]}" --no-fallback --trace-id fleet-trace-1 \
+  --corpus gcd --golden >"$OBSF/gcd.traced"
 if ! cmp -s "$OBSF/gcd.traced" "tests/golden/gcd.expected"; then
-  echo "tier-1: FAILED — traced hedged gcd diverged from the golden:" >&2
+  echo "tier-1: FAILED — traced gcd diverged from the golden:" >&2
   diff "tests/golden/gcd.expected" "$OBSF/gcd.traced" | head >&2
   exit 1
 fi
-RSTATS="$("$ACC" "${OBSR[@]}" --stats)"
-if ! grep -qE '"hedges":[1-9]' <<<"$RSTATS"; then
-  echo "tier-1: FAILED — the armed hedge never fired: $RSTATS" >&2
-  exit 1
-fi
-sleep 1.5 # let the hedge loser's forward span land before the pull
 
-# 12c. actrace: pull every member's fragment (trace_pull drains
+# 12c. actrace: pull both members' fragments (trace_pull drains
 #      exactly-once) and merge. The merged trace must lint structurally
-#      and hold the fleet invariants: one trace id, spans from >= 3
+#      and hold the fleet invariants: one trace id, spans from both
 #      processes, every parent span reference resolving.
 if ! "$ACTRACE" --out "$OBSF/merged.json" --auth-token-file "$OTOK" \
-    "127.0.0.1:$ORPORT" "127.0.0.1:${OPORT[0]}" "127.0.0.1:${OPORT[1]}" \
-    "127.0.0.1:${OPORT[2]}" "127.0.0.1:$OCPORT" 2>"$OBSF/actrace.err"; then
-  echo "tier-1: FAILED — actrace could not pull + merge the fleet:" >&2
+    "127.0.0.1:$OAPORT" "127.0.0.1:$OCPORT" 2>"$OBSF/actrace.err"; then
+  echo "tier-1: FAILED — actrace could not pull + merge acd + accached:" >&2
   cat "$OBSF/actrace.err" >&2
   exit 1
 fi
-if ! "$ACLINT" trace "$OBSF/merged.json" --require-span router.request \
-    --require-span router.forward --require-span acd.request; then
+if ! "$ACLINT" trace "$OBSF/merged.json" --require-span acd.request \
+    --require-span remote.get --require-span accached.get; then
   echo "tier-1: FAILED — merged fleet trace did not lint." >&2
   exit 1
 fi
-if ! "$ACLINT" fleettrace "$OBSF/merged.json" --min-pids 3 \
-    --expect-trace-id fleet-hedge-1; then
+if ! "$ACLINT" fleettrace "$OBSF/merged.json" --min-pids 2 \
+    --expect-trace-id fleet-trace-1; then
   echo "tier-1: FAILED — merged trace broke a fleet invariant (one" \
-       "trace id / >=3 pids / parent refs)." >&2
+       "trace id / both pids / parent refs)." >&2
   exit 1
 fi
-echo "merged fleet trace linted: one trace id across >=3 processes"
+echo "merged fleet trace linted: one trace id across acd + accached"
 
-# 12d. Federated metrics: one lint-clean exposition from the router,
-#      carrying the histograms, winner attribution, shard_id labels,
-#      exemplars, and the per-block scrape-age gauge.
-"$ACC" "${OBSR[@]}" --metrics >"$OBSF/federated.txt"
-if ! "$ACLINT" metrics "$OBSF/federated.txt" \
+# 12d. Metrics: the acd's exposition is lint-clean and carries the
+#      latency histograms, its shard_id label and an exemplar trace id;
+#      the store's exposition lints too.
+"$ACC" "${OBSC[@]}" --metrics >"$OBSF/acd-metrics.txt"
+if ! "$ACLINT" metrics "$OBSF/acd-metrics.txt" \
     --require acd_request_duration_seconds \
     --require acd_queue_wait_seconds \
-    --require acrouter_forward_routed_total \
-    --require acrouter_forward_winner_total \
-    --require acrouter_requests_completed_total \
-    --require acd_scrape_age_seconds; then
-  echo "tier-1: FAILED — federated metrics exposition did not lint." >&2
+    --require acd_requests_completed_total; then
+  echo "tier-1: FAILED — acd metrics exposition did not lint." >&2
   exit 1
 fi
-for want in 'shard_id="obs0"' 'shard_id="obs1"' 'shard_id="obs2"' \
-    ' # {trace_id="'; do
-  if ! grep -qF "$want" "$OBSF/federated.txt"; then
-    echo "tier-1: FAILED — federated metrics are missing $want" >&2
+for want in 'shard_id="obs0"' ' # {trace_id="fleet-trace-1"'; do
+  if ! grep -qF "$want" "$OBSF/acd-metrics.txt"; then
+    echo "tier-1: FAILED — acd metrics are missing $want" >&2
     exit 1
   fi
 done
-# Winner attribution is exactly-once: one completed request, so the
-# per-shard winner counters must sum to exactly 1 even though the hedge
-# put the request on two shards.
-WSUM="$(awk '/^acrouter_forward_winner_total\{/ { s += $2 } END { print s + 0 }' \
-  "$OBSF/federated.txt")"
-if [[ "$WSUM" != 1 ]]; then
-  echo "tier-1: FAILED — winner counters sum to $WSUM for 1 completed" \
-       "request (double-counted hedge?):" >&2
-  grep '^acrouter_forward' "$OBSF/federated.txt" >&2
+"$ACC" --connect "127.0.0.1:$OCPORT" --auth-token-file "$OTOK" --metrics \
+  >"$OBSF/accached-metrics.txt"
+if ! "$ACLINT" metrics "$OBSF/accached-metrics.txt"; then
+  echo "tier-1: FAILED — accached metrics exposition did not lint." >&2
   exit 1
 fi
-echo "federated exposition linted; winner attribution exactly-once"
+echo "acd and accached expositions linted; exemplar names the trace"
 
-# 12e. actop: the live inspector renders the fleet payload and dumps it
-#      raw with --once --json.
-"$ACTOP" --router "127.0.0.1:$ORPORT" --auth-token-file "$OTOK" --once \
-  >"$OBSF/actop.txt"
-for want in BREAKER "127.0.0.1:${OPORT[0]}" fleet-hedge-1; do
-  if ! grep -q "$want" "$OBSF/actop.txt"; then
-    echo "tier-1: FAILED — actop render is missing '$want':" >&2
-    cat "$OBSF/actop.txt" >&2
-    exit 1
-  fi
-done
-"$ACTOP" --router "127.0.0.1:$ORPORT" --auth-token-file "$OTOK" --once \
-  --json >"$OBSF/fleet.json"
-if ! grep -q '"shard_stats"' "$OBSF/fleet.json"; then
-  echo "tier-1: FAILED — actop --once --json did not emit the fleet" \
-       "payload." >&2
-  exit 1
-fi
-echo "actop rendered the fleet (slow-request ring keyed by trace id)"
-
-# 12f. Drain the traced fleet cleanly.
-"$ACC" "${OBSR[@]}" --drain >/dev/null
-OR_RC=0
-wait "$OR_PID" || OR_RC=$?
-if [[ "$OR_RC" != 0 ]]; then
-  echo "tier-1: FAILED — traced acrouter exited $OR_RC on drain." >&2
-  exit 1
-fi
-for pid in "${OPID[@]}" "$OC_PID"; do
-  kill -TERM "$pid"
+# 12e. Drain the traced pair cleanly.
+"$ACC" "${OBSC[@]}" --drain >/dev/null
+kill -TERM "$OC_PID"
+for pid in "$OA_PID" "$OC_PID"; do
   RC=0
   wait "$pid" || RC=$?
   if [[ "$RC" != 0 ]]; then
-    echo "tier-1: FAILED — a traced fleet daemon exited $RC on SIGTERM." >&2
+    echo "tier-1: FAILED — a traced daemon exited $RC on drain." >&2
     exit 1
   fi
 done
 FLEET_PIDS=()
-echo "traced fleet drained cleanly"
+echo "traced pair drained cleanly"
 
-# 12g. Tracing cost bound on table5_scaling's seL4-scale row (summed
+# 12f. Tracing cost bound on table5_scaling's seL4-scale row (summed
 #      AutoCorres CPU, the least noisy column). Live tracing *enabled*
 #      must stay within 2% of the disabled run; the disabled hot path
 #      (one relaxed atomic per span) is a strict subset of that cost,

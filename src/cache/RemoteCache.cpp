@@ -291,8 +291,8 @@ bool RemoteCacheServer::handleFrame(const std::shared_ptr<Conn> &C,
     R.set("draining", Draining.load());
     C->send(R);
   } else if (Op == "metrics") {
-    // The store's Prometheus block, role-labelled so a federated scrape
-    // can tell the cache tier's samples from the shards'.
+    // The store's Prometheus block, role-labelled so a collector that
+    // scrapes several daemons can tell the cache tier's samples apart.
     std::string Body;
     auto Counter = [&](const char *Name, const char *Help,
                        const char *Type, uint64_t V) {
@@ -478,22 +478,3 @@ bool RemoteCacheClient::stats(Json &Out) {
   return roundTrip(Req, Out) && Out.get("ok").asBool();
 }
 
-bool RemoteCacheClient::metrics(Json &Out) {
-  std::lock_guard<std::mutex> L(M);
-  if (!ensureConnected())
-    return false;
-  Json Req = Json::object();
-  Req.set("v", service::ProtocolVersion);
-  Req.set("op", "metrics");
-  return roundTrip(Req, Out) && Out.get("ok").asBool();
-}
-
-bool RemoteCacheClient::tracePull(Json &Out) {
-  std::lock_guard<std::mutex> L(M);
-  if (!ensureConnected())
-    return false;
-  Json Req = Json::object();
-  Req.set("v", service::ProtocolVersion);
-  Req.set("op", "trace_pull");
-  return roundTrip(Req, Out) && Out.get("ok").asBool();
-}

@@ -152,10 +152,6 @@ public:
   bool ping();
   /// Fetches the daemon's `stats` payload.
   bool stats(support::Json &Out);
-  /// Fetches the daemon's `metrics` payload (Prometheus text in `body`).
-  bool metrics(support::Json &Out);
-  /// Drains the daemon's trace buffers (`trace_pull` payload).
-  bool tracePull(support::Json &Out);
 
 private:
   /// Dials (and authenticates) if not connected. Caller holds M.

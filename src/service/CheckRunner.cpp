@@ -118,17 +118,23 @@ bool shouldFallBack(const CheckResponse &Resp) {
 
 } // namespace
 
-CheckResponse ac::service::checkWithFallback(const std::string &SocketPath,
+CheckResponse ac::service::checkWithFallback(const Endpoint &At,
+                                             const std::string &Token,
                                              const CheckRequest &Req,
                                              bool &UsedFallback,
                                              std::string &Note) {
   UsedFallback = false;
   Note.clear();
 
-  std::string Why;
-  Client C = Client::connect(SocketPath);
+  std::string Why, DialErr;
+  Client C = Client::dial(At, Token, DialErr);
   if (!C.connected()) {
-    Why = "daemon unreachable at " + SocketPath;
+    // connectTcp() reports a refused token as a typed `auth_failed`
+    // message; like the in-band answer, it is never degraded.
+    if (DialErr.rfind(errorCodeName(ErrorCode::AuthFailed), 0) == 0)
+      return CheckResponse::error(ErrorCode::AuthFailed, DialErr);
+    Why = "daemon unreachable at " + At.Address +
+          (DialErr.empty() ? "" : " (" + DialErr + ")");
   } else {
     CheckResponse Resp;
     std::string Err;

@@ -18,6 +18,7 @@
 #ifndef AC_SERVICE_CHECKRUNNER_H
 #define AC_SERVICE_CHECKRUNNER_H
 
+#include "service/Client.h"
 #include "service/Protocol.h"
 
 #include <string>
@@ -66,17 +67,19 @@ CheckResponse runCheck(const CheckRequest &Req, const CheckContext &Ctx);
 /// (falling back to AC_CACHE / AC_CACHE_DIR) and runs in-process.
 CheckResponse runLocalCheck(const CheckRequest &Req);
 
-/// Client policy: try the daemon at \p SocketPath (with checkRetry's
-/// backpressure handling), and degrade to runLocalCheck() when the
-/// daemon cannot serve the request — unreachable, transport failure
-/// mid-request, draining, still busy after bounded retries, over the
-/// request deadline, or an internal daemon error. Typed request errors
-/// (`bad_request`, `parse_error`) are *not* degraded: the local run
-/// would fail identically, so the daemon's answer stands.
+/// Client policy: try the daemon at \p At, presenting \p Token on TCP
+/// (with checkRetry's backpressure handling), and degrade to
+/// runLocalCheck() when the daemon cannot serve the request —
+/// unreachable, transport failure mid-request, draining, still busy
+/// after bounded retries, over the request deadline, or an internal
+/// daemon error. Typed request errors (`bad_request`, `parse_error`)
+/// are *not* degraded: the local run would fail identically, so the
+/// daemon's answer stands. Nor is a refused token (`auth_failed`): a
+/// local run would hide the misconfiguration.
 ///
 /// \p UsedFallback reports which path produced the response, and \p Note
 /// carries a one-line human-readable reason when the fallback ran.
-CheckResponse checkWithFallback(const std::string &SocketPath,
+CheckResponse checkWithFallback(const Endpoint &At, const std::string &Token,
                                 const CheckRequest &Req, bool &UsedFallback,
                                 std::string &Note);
 

@@ -50,6 +50,11 @@ Client Client::connectTcp(const std::string &HostPort,
   return C;
 }
 
+Client Client::dial(const Endpoint &At, const std::string &Token,
+                    std::string &Err) {
+  return At.Tcp ? connectTcp(At.Address, Token, Err) : connect(At.Address);
+}
+
 bool Client::roundTrip(const Json &Req, Json &Resp, std::string &Err) {
   if (!Sock.valid()) {
     Err = "not connected";
@@ -158,13 +163,6 @@ bool Client::tracePull(Json &Out, std::string &Err) {
   Json Req = Json::object();
   Req.set("v", ProtocolVersion);
   Req.set("op", "trace_pull");
-  return roundTrip(Req, Out, Err) && Out.get("ok").asBool();
-}
-
-bool Client::fleet(Json &Out, std::string &Err) {
-  Json Req = Json::object();
-  Req.set("v", ProtocolVersion);
-  Req.set("op", "fleet");
   return roundTrip(Req, Out, Err) && Out.get("ok").asBool();
 }
 

@@ -43,11 +43,23 @@ uint64_t retryDelayMs(unsigned Attempt, unsigned RetryAfterMs,
 /// seed the stream — and therefore the sleep sequence — is repeatable.
 std::minstd_rand retryRng();
 
+/// Where a daemon listens: its Unix socket path, or a "host:port" TCP
+/// address when \p Tcp is set.
+struct Endpoint {
+  std::string Address;
+  bool Tcp = false;
+};
+
 /// One connection to an acd daemon.
 class Client {
 public:
   /// Connects to the daemon at \p SocketPath; connected() tells success.
   static Client connect(const std::string &SocketPath);
+
+  /// Connects to \p At over its transport: connect() for a Unix socket,
+  /// connectTcp() with \p Token for TCP.
+  static Client dial(const Endpoint &At, const std::string &Token,
+                     std::string &Err);
 
   /// Connects over TCP to \p HostPort ("host:port"). A non-empty
   /// \p Token performs the auth handshake (docs/PROTOCOL.md
@@ -86,11 +98,6 @@ public:
   /// Drains the daemon's trace buffers: the `trace_pull` payload
   /// ({pid, role, body} with body one Chrome-JSON fragment).
   bool tracePull(support::Json &Out, std::string &Err);
-
-  /// Fetches a router's `fleet` payload — its own stats plus a live
-  /// scrape of every shard's (and the cache tier's) stats. Only routers
-  /// answer this op.
-  bool fleet(support::Json &Out, std::string &Err);
 
   /// Liveness probe.
   bool ping(std::string &Err);

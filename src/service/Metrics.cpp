@@ -156,24 +156,11 @@ size_t coarseBucket(double Seconds) {
 
 } // namespace
 
-void ServiceMetrics::noteRequest(const std::string &TraceId,
-                                 const std::string &Tenant,
-                                 const std::string &Priority, double TotalS,
-                                 double WaitS, bool Ok) {
-  {
-    std::lock_guard<std::mutex> L(ExemplarM);
-    TotalEx[coarseBucket(TotalS)] = {TraceId, TotalS};
-    WaitEx[coarseBucket(WaitS)] = {TraceId, WaitS};
-  }
-  std::lock_guard<std::mutex> L(RecentM);
-  RecentRequest R{TraceId, Tenant, Priority, TotalS, WaitS,
-                  uptimeSeconds(), Ok};
-  if (Recent.size() < RecentCap) {
-    Recent.push_back(std::move(R));
-  } else {
-    Recent[RecentNext] = std::move(R);
-    RecentNext = (RecentNext + 1) % RecentCap;
-  }
+void ServiceMetrics::noteExemplar(const std::string &TraceId, double TotalS,
+                                  double WaitS) {
+  std::lock_guard<std::mutex> L(ExemplarM);
+  TotalEx[coarseBucket(TotalS)] = {TraceId, TotalS};
+  WaitEx[coarseBucket(WaitS)] = {TraceId, WaitS};
 }
 
 ServiceMetrics::Snapshot
@@ -221,13 +208,6 @@ ServiceMetrics::snapshot(size_t QueueDepth, size_t QueueCapacity,
     std::lock_guard<std::mutex> L(ExemplarM);
     S.TotalExemplars.assign(TotalEx, TotalEx + NumHistBounds + 1);
     S.WaitExemplars.assign(WaitEx, WaitEx + NumHistBounds + 1);
-  }
-  {
-    std::lock_guard<std::mutex> L(RecentM);
-    // Unroll the ring into oldest-first order.
-    for (size_t I = 0; I != Recent.size(); ++I)
-      S.Recent.push_back(
-          Recent[(RecentNext + I) % Recent.size()]);
   }
   return S;
 }
@@ -284,23 +264,6 @@ Json ServiceMetrics::Snapshot::toJson() const {
   C.set("invalidations", CacheInvalidations);
   C.set("mem_entries", MemCacheEntries);
   J.set("cache", std::move(C));
-
-  if (!Recent.empty()) {
-    Json A = Json::array();
-    for (const RecentRequest &R : Recent) {
-      Json RJ = Json::object();
-      RJ.set("trace_id", R.TraceId);
-      if (!R.Tenant.empty())
-        RJ.set("tenant", R.Tenant);
-      RJ.set("priority", R.Priority);
-      RJ.set("total_ms", R.TotalS * 1e3);
-      RJ.set("wait_ms", R.WaitS * 1e3);
-      RJ.set("age_s", UptimeS - R.UptimeAtS);
-      RJ.set("ok", R.Ok);
-      A.push(std::move(RJ));
-    }
-    J.set("recent", std::move(A));
-  }
   return J;
 }
 

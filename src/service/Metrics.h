@@ -114,27 +114,9 @@ struct ServiceMetrics {
   Exemplar TotalEx[NumHistBounds + 1];
   Exemplar WaitEx[NumHistBounds + 1];
 
-  /// Ring of recently finished requests, keyed by trace id, so a live
-  /// inspector (actop) can show the top-K slowest without any external
-  /// trace store. Mutex-guarded: one push per request is noise next to
-  /// the pipeline it measures.
-  struct RecentRequest {
-    std::string TraceId, Tenant, Priority;
-    double TotalS = 0, WaitS = 0;
-    double UptimeAtS = 0; ///< uptimeSeconds() at completion
-    bool Ok = true;
-  };
-  static constexpr size_t RecentCap = 64;
-  mutable std::mutex RecentM;
-  std::vector<RecentRequest> Recent;
-  size_t RecentNext = 0;
-
-  /// Records one finished request into the exemplar slots and the
-  /// recent-request ring. \p TotalS / \p WaitS match what went into
-  /// TotalH / WaitH for the same request.
-  void noteRequest(const std::string &TraceId, const std::string &Tenant,
-                   const std::string &Priority, double TotalS, double WaitS,
-                   bool Ok);
+  /// Records one finished request into the exemplar slots. \p TotalS /
+  /// \p WaitS match what went into TotalH / WaitH for the same request.
+  void noteExemplar(const std::string &TraceId, double TotalS, double WaitS);
 
   /// Per-tenant admission accounting. Tenants are discovered from
   /// request traffic, so this is a small mutex-guarded map rather than
@@ -166,12 +148,6 @@ struct ServiceMetrics {
            !InFlightPeak.compare_exchange_weak(Cur, N,
                                                std::memory_order_relaxed)) {
     }
-  }
-
-  double uptimeSeconds() const {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - Start)
-        .count();
   }
 
   /// One histogram, read once.
@@ -208,8 +184,6 @@ struct ServiceMetrics {
     uint64_t TotalBuckets[NumHistBounds] = {};
     uint64_t WaitBuckets[NumHistBounds] = {};
     std::vector<Exemplar> TotalExemplars, WaitExemplars;
-    /// Recently finished requests, oldest first.
-    std::vector<RecentRequest> Recent;
 
     /// The `stats` response payload.
     support::Json toJson() const;

@@ -141,8 +141,6 @@ Json CheckRequest::toJson() const {
     J.set("timeout_ms", TimeoutMs);
   if (!TraceId.empty())
     J.set("trace_id", TraceId);
-  if (!ParentSpan.empty())
-    J.set("parent_span", ParentSpan);
   if (Prio != Priority::Interactive)
     J.set("priority", priorityName(Prio));
   if (!Tenant.empty())
@@ -173,7 +171,6 @@ bool CheckRequest::fromJson(const Json &J, CheckRequest &Out,
       static_cast<unsigned>(J.get("debug_delay_ms").asInt(0));
   Out.TimeoutMs = static_cast<unsigned>(J.get("timeout_ms").asInt(0));
   Out.TraceId = J.get("trace_id").asString();
-  Out.ParentSpan = J.get("parent_span").asString();
   std::string Prio = J.get("priority").asString();
   if (Prio.empty() || Prio == "interactive") {
     Out.Prio = Priority::Interactive;

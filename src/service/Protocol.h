@@ -47,7 +47,7 @@ enum class ErrorCode {
   /// TCP connection presented a wrong or missing auth token. The daemon
   /// answers this and closes the connection; never retried.
   AuthFailed,
-  /// Load shedding: the daemon (or router) decided the request could not
+  /// Load shedding: the daemon decided the request could not
   /// complete within its remaining deadline budget — or a tenant quota
   /// refused it — and answered immediately instead of letting it time
   /// out in queue. Only bulk-priority work is shed for staleness; quota
@@ -103,10 +103,6 @@ struct CheckRequest {
   /// the request produces, and the per-request trace filename (when the
   /// daemon runs with --trace-dir). "" lets the daemon mint one.
   std::string TraceId;
-  /// Distributed-trace parent span id (decimal string of a 64-bit id),
-  /// set by a router forwarding the request so the serving daemon's
-  /// spans chain under the router's forward span. "" = no parent.
-  std::string ParentSpan;
   /// Admission class. Interactive (the default) dequeues before bulk;
   /// bulk is eligible for staleness shedding when the queue is saturated.
   Priority Prio = Priority::Interactive;

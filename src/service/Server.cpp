@@ -574,9 +574,7 @@ void Server::watchdogLoop() {
       double TotalS =
           secondsBetween(R->Admitted, std::chrono::steady_clock::now());
       Metrics.TotalH.record(TotalS);
-      Metrics.noteRequest(R->Req.TraceId, R->Req.Tenant,
-                          priorityName(R->Req.Prio), TotalS, /*WaitS=*/0,
-                          /*Ok=*/false);
+      Metrics.noteExemplar(R->Req.TraceId, TotalS, /*WaitS=*/0);
       R->markDone();
     }
   }
@@ -618,13 +616,9 @@ void Server::runRequest(Request &R) {
   double WaitS = secondsBetween(R.Admitted, std::chrono::steady_clock::now());
   Metrics.WaitH.record(WaitS);
 
-  // Install the wire-carried trace context for this worker thread: the
-  // request's spans stamp its trace id and chain under the router's
-  // forward span (parent_span) when one was sent.
-  uint64_t WireParent = 0;
-  if (!R.Req.ParentSpan.empty())
-    WireParent = std::strtoull(R.Req.ParentSpan.c_str(), nullptr, 10);
-  support::TraceContextScope TScope(R.Req.TraceId, WireParent);
+  // Install the request's trace context for this worker thread: its
+  // spans stamp the trace id, with acd.request as the root.
+  support::TraceContextScope TScope(R.Req.TraceId, /*ParentSpan=*/0);
   support::Span ReqSpan("acd.request");
   if (!Opts.ShardId.empty())
     ReqSpan.arg("shard_id", Opts.ShardId);
@@ -729,9 +723,7 @@ void Server::runRequest(Request &R) {
                          {"message", Resp.Message}});
   }
   Metrics.TotalH.record(TotalS);
-  Metrics.noteRequest(R.Req.TraceId, R.Req.Tenant,
-                      priorityName(R.Req.Prio), TotalS, WaitS,
-                      Delivered && Resp.Ok);
+  Metrics.noteExemplar(R.Req.TraceId, TotalS, WaitS);
   // Land the request span before a per-request flush drains the buffers.
   ReqSpan.end();
 

@@ -36,7 +36,7 @@
 /// itself as the context's parent for its scope, and a
 /// TraceContextScope installs a trace id + parent carried over the wire
 /// at a request boundary, so spans recorded in different processes
-/// (router, shards, the remote cache store) chain into one tree under
+/// (a daemon, the remote cache store) chain into one tree under
 /// one trace id. Exports embed the process role and a wall-clock anchor
 /// (`otherData.role` / `otherData.anchorUnixUs`) so a merger can label
 /// pid lanes and rebase per-process steady clocks onto one timeline.
@@ -118,7 +118,7 @@ public:
   /// task sat in the ThreadPool queue before a worker picked it up.
   static void interval(const char *Name, uint64_t StartNs, uint64_t EndNs);
 
-  /// The process's role in a fleet ("shard", "router", "cache", ...),
+  /// The process's role in a fleet ("shard", "cache", ...),
   /// embedded in exports as `otherData.role` so a trace merger can
   /// label each pid's lane. Empty until setRole().
   static void setRole(const std::string &Role);

@@ -13,8 +13,8 @@
 /// using the wall-clock anchor each export embeds
 /// (`otherData.anchorUnixUs`). Span ids and parent references are
 /// process-unique by construction (`(pid << 32) | seq`), so events
-/// merge without rewriting — a hedged request's spans from the router,
-/// two shards and the cache store chain under one trace id.
+/// merge without rewriting — a request's spans from the daemon that
+/// served it and the cache store it consulted chain under one trace id.
 ///
 //===----------------------------------------------------------------------===//
 

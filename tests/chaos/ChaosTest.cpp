@@ -30,7 +30,6 @@
 #include "core/ResultCache.h"
 #include "hol/Print.h"
 #include "hol/Simp.h"
-#include "router/Router.h"
 #include "service/CheckRunner.h"
 #include "service/Client.h"
 #include "service/Server.h"
@@ -44,14 +43,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -508,7 +505,7 @@ void driveSimpMemoEvict() {
 }
 
 //===----------------------------------------------------------------------===//
-// The fleet sites: remote cache tier and router network edges
+// The fleet sites: the remote cache tier
 //===----------------------------------------------------------------------===//
 
 core::CachedFunc remoteSampleEntry() {
@@ -613,83 +610,10 @@ void driveRemoteStoreTorn() {
   Srv.stop();
 }
 
-/// Shared harness for the two router edges: one real shard on loopback
-/// TCP, a router with local fallback, and byte-identity of the faulted
-/// answer against a never-faulted in-process reference.
-void driveRouterEdge(const char *Site) {
-  std::string Dir = freshDir(Site);
-  service::ServerOptions SO;
-  SO.SocketPath = "";
-  SO.ListenAddr = "127.0.0.1:0";
-  SO.Workers = 1;
-  service::Server Shard(SO);
-  ASSERT_TRUE(Shard.start());
-
-  router::RouterOptions RO;
-  RO.SocketPath = Dir + "/r.sock";
-  RO.Shards = {"127.0.0.1:" + std::to_string(Shard.tcpPort())};
-  RO.HealthProbeMs = 50;
-  router::Router R(RO);
-  ASSERT_TRUE(R.start());
-
-  service::Client C = service::Client::connect(RO.SocketPath);
-  ASSERT_TRUE(C.connected());
-  service::CheckRequest Req;
-  Req.Source = "unsigned int edge(unsigned int x) { return x + 3u; }\n";
-  service::CheckResponse Ref = service::runLocalCheck(Req);
-
-  auto snapshot = [](const service::CheckResponse &Resp) {
-    std::string S;
-    for (const service::FuncResult &F : Resp.Functions)
-      S += F.Name + "\n" + F.FinalKey + "\n" + F.Render + "\n" +
-           F.Pipeline + "\n";
-    for (const std::string &D : Resp.Diagnostics)
-      S += D + "\n";
-    return S;
-  };
-
-  // The armed edge tears the only shard's forward; the router marks it
-  // down and degrades to the in-process pipeline — same bytes.
-  std::string Err;
-  service::CheckResponse Faulted;
-  ASSERT_TRUE(FaultInject::arm(Site, 1));
-  ASSERT_TRUE(C.check(Req, Faulted, Err)) << Err;
-  EXPECT_EQ(FaultInject::fired(Site), 1u);
-  FaultInject::disarmAll();
-  ASSERT_TRUE(Faulted.Ok) << Faulted.Message;
-  EXPECT_EQ(snapshot(Faulted), snapshot(Ref))
-      << Site << ": the faulted answer diverged";
-
-  // Recovery: the prober revives the shard and the next request is
-  // served by it, still byte-identical.
-  support::Json Stats;
-  bool Revived = false;
-  for (int I = 0; I != 100 && !Revived; ++I) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    ASSERT_TRUE(C.stats(Stats, Err)) << Err;
-    Revived = Stats.get("shards").items().front().get("healthy").asBool();
-  }
-  ASSERT_TRUE(Revived) << Site << ": the prober never revived the shard";
-  service::CheckResponse After;
-  ASSERT_TRUE(C.check(Req, After, Err)) << Err;
-  ASSERT_TRUE(After.Ok) << After.Message;
-  EXPECT_EQ(snapshot(After), snapshot(Ref));
-  ASSERT_TRUE(C.stats(Stats, Err)) << Err;
-  EXPECT_GE(Stats.get("shards").items().front().get("forwarded").asInt(), 1)
-      << Site << ": recovery must forward to the real shard again";
-
-  R.stop();
-  Shard.stop();
-}
-
-void driveRouterDialFail() { driveRouterEdge("router.dial.fail"); }
-void driveRouterForwardFail() { driveRouterEdge("router.forward.fail"); }
-
 //===----------------------------------------------------------------------===//
-// The overload decision points: admission shedding, circuit breakers,
-// and hedged forwards. Every site forces one decision the happy path
-// would only take under real overload, so the refusal/recovery bytes
-// are reachable deterministically.
+// The overload decision points: admission shedding. Every site forces
+// one decision the happy path would only take under real overload, so
+// the refusal/recovery bytes are reachable deterministically.
 //===----------------------------------------------------------------------===//
 
 std::string respSnapshot(const service::CheckResponse &Resp) {
@@ -789,185 +713,6 @@ void driveServerQuotaReject() {
   Srv.stop();
 }
 
-/// One real shard behind a router, as in driveRouterEdge, but tuned for
-/// the breaker sites: the trip site opens the breaker on the *first*
-/// torn forward instead of the third.
-struct BreakerFleet {
-  service::ServerOptions SO;
-  router::RouterOptions RO;
-  std::unique_ptr<service::Server> Shard;
-  std::unique_ptr<router::Router> R;
-
-  bool Ok = false;
-
-  explicit BreakerFleet(const std::string &Dir, unsigned CooldownMs) {
-    SO.SocketPath = "";
-    SO.ListenAddr = "127.0.0.1:0";
-    SO.Workers = 1;
-    Shard.reset(new service::Server(SO));
-    if (!Shard->start())
-      return;
-    RO.SocketPath = Dir + "/r.sock";
-    RO.Shards = {"127.0.0.1:" + std::to_string(Shard->tcpPort())};
-    RO.HealthProbeMs = 30;
-    RO.BreakerCooldownMs = CooldownMs;
-    R.reset(new router::Router(RO));
-    Ok = R->start();
-  }
-  ~BreakerFleet() {
-    if (R)
-      R->stop();
-    if (Shard)
-      Shard->stop();
-  }
-};
-
-/// Forced breaker trip: one torn forward opens the breaker, the answer
-/// degrades byte-identically, and the prober walks the shard back to
-/// closed through the normal cooldown → half-open → probe path.
-void driveBreakerTrip() {
-  std::string Dir = freshDir("breakertrip");
-  BreakerFleet F(Dir, /*CooldownMs=*/30);
-  ASSERT_TRUE(F.Ok);
-
-  service::Client C = service::Client::connect(F.RO.SocketPath);
-  ASSERT_TRUE(C.connected());
-  service::CheckRequest Req;
-  Req.Source = "unsigned int trip(unsigned int x) { return x * 2u; }\n";
-  service::CheckResponse Ref = service::runLocalCheck(Req);
-
-  std::string Err;
-  service::CheckResponse Faulted;
-  ASSERT_TRUE(FaultInject::arm("router.forward.fail", 1));
-  ASSERT_TRUE(FaultInject::arm("router.breaker.trip", 1));
-  ASSERT_TRUE(C.check(Req, Faulted, Err)) << Err;
-  EXPECT_EQ(FaultInject::fired("router.forward.fail"), 1u);
-  EXPECT_EQ(FaultInject::fired("router.breaker.trip"), 1u);
-  FaultInject::disarmAll();
-  ASSERT_TRUE(Faulted.Ok) << Faulted.Message;
-  EXPECT_EQ(respSnapshot(Faulted), respSnapshot(Ref))
-      << "the tripped forward's fallback answer diverged";
-
-  // Recovery: cooldown elapses, the probe closes the breaker again.
-  support::Json Stats;
-  bool Revived = false;
-  for (int I = 0; I != 100 && !Revived; ++I) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    ASSERT_TRUE(C.stats(Stats, Err)) << Err;
-    Revived = Stats.get("shards").items().front().get("healthy").asBool();
-  }
-  ASSERT_TRUE(Revived) << "the prober never closed the tripped breaker";
-  support::Json SJ = Stats.get("shards").items().front();
-  EXPECT_EQ(SJ.get("breaker").asString(), "closed");
-  EXPECT_GE(SJ.get("breaker_trips").asInt(), 1)
-      << "the forced trip must be visible in stats";
-
-  service::CheckResponse After;
-  ASSERT_TRUE(C.check(Req, After, Err)) << Err;
-  ASSERT_TRUE(After.Ok) << After.Message;
-  EXPECT_EQ(respSnapshot(After), respSnapshot(Ref));
-}
-
-/// Forced half-open: with a cooldown too long to ever elapse in-test,
-/// the breaker stays open (observable in stats) until the armed site
-/// forces the half-open transition, whose trial probe succeeds and
-/// closes the breaker.
-void driveBreakerHalfOpen() {
-  std::string Dir = freshDir("breakerhalfopen");
-  BreakerFleet F(Dir, /*CooldownMs=*/60000);
-  ASSERT_TRUE(F.Ok);
-
-  service::Client C = service::Client::connect(F.RO.SocketPath);
-  ASSERT_TRUE(C.connected());
-  service::CheckRequest Req;
-  Req.Source = "unsigned int half(unsigned int x) { return x + 9u; }\n";
-  service::CheckResponse Ref = service::runLocalCheck(Req);
-
-  std::string Err;
-  service::CheckResponse Faulted;
-  ASSERT_TRUE(FaultInject::arm("router.forward.fail", 1));
-  ASSERT_TRUE(FaultInject::arm("router.breaker.trip", 1));
-  ASSERT_TRUE(C.check(Req, Faulted, Err)) << Err;
-  FaultInject::disarmAll();
-  ASSERT_TRUE(Faulted.Ok) << Faulted.Message;
-  EXPECT_EQ(respSnapshot(Faulted), respSnapshot(Ref));
-
-  // The cooldown is an hour out: without the fault the breaker must
-  // still be open however many probe rounds have passed.
-  support::Json Stats;
-  ASSERT_TRUE(C.stats(Stats, Err)) << Err;
-  EXPECT_EQ(Stats.get("shards").items().front().get("breaker").asString(),
-            "open");
-  EXPECT_FALSE(Stats.get("shards").items().front().get("healthy").asBool());
-
-  ASSERT_TRUE(FaultInject::arm("router.breaker.halfopen", 1));
-  bool Revived = false;
-  for (int I = 0; I != 100 && !Revived; ++I) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    ASSERT_TRUE(C.stats(Stats, Err)) << Err;
-    Revived = Stats.get("shards").items().front().get("healthy").asBool();
-  }
-  EXPECT_EQ(FaultInject::fired("router.breaker.halfopen"), 1u);
-  FaultInject::disarmAll();
-  ASSERT_TRUE(Revived) << "the forced half-open probe never closed the "
-                          "breaker";
-
-  service::CheckResponse After;
-  ASSERT_TRUE(C.check(Req, After, Err)) << Err;
-  ASSERT_TRUE(After.Ok) << After.Message;
-  EXPECT_EQ(respSnapshot(After), respSnapshot(Ref));
-}
-
-/// Forced hedge: with two healthy shards and a deadline-carrying
-/// request, the armed site collapses the hedge delay to zero, so the
-/// forward is raced on both shards. First answer wins; both are
-/// byte-identical by construction, so the client sees exact bytes
-/// either way.
-void driveHedgeFire() {
-  std::string Dir = freshDir("hedgefire");
-  service::ServerOptions SO;
-  SO.SocketPath = "";
-  SO.ListenAddr = "127.0.0.1:0";
-  SO.Workers = 1;
-  service::Server ShardA(SO), ShardB(SO);
-  ASSERT_TRUE(ShardA.start());
-  ASSERT_TRUE(ShardB.start());
-
-  router::RouterOptions RO;
-  RO.SocketPath = Dir + "/r.sock";
-  RO.Shards = {"127.0.0.1:" + std::to_string(ShardA.tcpPort()),
-               "127.0.0.1:" + std::to_string(ShardB.tcpPort())};
-  RO.HealthProbeMs = 50;
-  router::Router R(RO);
-  ASSERT_TRUE(R.start());
-
-  service::Client C = service::Client::connect(RO.SocketPath);
-  ASSERT_TRUE(C.connected());
-  service::CheckRequest Req;
-  Req.Source = "unsigned int hedge(unsigned int x) { return x - 1u; }\n";
-  Req.TimeoutMs = 10000; // hedging needs a deadline budget to split
-  service::CheckResponse Ref = service::runLocalCheck(Req);
-
-  std::string Err;
-  service::CheckResponse Resp;
-  ASSERT_TRUE(FaultInject::arm("router.hedge.fire", 1));
-  ASSERT_TRUE(C.check(Req, Resp, Err)) << Err;
-  EXPECT_EQ(FaultInject::fired("router.hedge.fire"), 1u);
-  FaultInject::disarmAll();
-  ASSERT_TRUE(Resp.Ok) << Resp.Message;
-  EXPECT_EQ(respSnapshot(Resp), respSnapshot(Ref))
-      << "the hedged answer diverged";
-
-  support::Json Stats;
-  ASSERT_TRUE(C.stats(Stats, Err)) << Err;
-  EXPECT_GE(Stats.get("hedges").asInt(), 1)
-      << "the forced hedge must be visible in stats";
-
-  R.stop();
-  ShardA.stop();
-  ShardB.stop();
-}
-
 //===----------------------------------------------------------------------===//
 // The driver table and the coverage gate
 //===----------------------------------------------------------------------===//
@@ -1002,13 +747,8 @@ const SiteCase AllSites[] = {
     {"remote.get.fail", driveRemoteGetFail},
     {"remote.put.fail", driveRemotePutFail},
     {"remotecache.store.torn", driveRemoteStoreTorn},
-    {"router.dial.fail", driveRouterDialFail},
-    {"router.forward.fail", driveRouterForwardFail},
     {"server.shed.stale", driveServerShedStale},
     {"server.quota.reject", driveServerQuotaReject},
-    {"router.breaker.trip", driveBreakerTrip},
-    {"router.breaker.halfopen", driveBreakerHalfOpen},
-    {"router.hedge.fire", driveHedgeFire},
 };
 
 class ChaosSite : public ::testing::TestWithParam<SiteCase> {

@@ -5,22 +5,25 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A miniature fleet — three acd shards behind an acrouter front-end
-/// with an accached remote tier — soaked with mixed bulk/interactive,
-/// multi-tenant load while a seeded chaos schedule stops and restarts
-/// shards and takes the cache daemon through outages. The whole
-/// schedule derives from one seed (AC_SOAK_SEED, default pinned), so a
-/// failing run replays exactly.
+/// The fleet in miniature — one authenticated TCP acd writing through to
+/// an accached remote tier — soaked with mixed bulk/interactive,
+/// multi-tenant load while a seeded chaos schedule takes the cache
+/// daemon through outages. Requests spread over several cache
+/// directories, each its own memory + disk tier in front of the shared
+/// store, so first touches keep consulting the remote tier while it
+/// comes and goes. The whole schedule derives from one seed
+/// (AC_SOAK_SEED, default pinned), so a failing run replays exactly.
 ///
 /// The invariants are the fleet's overload contract:
 ///   - every request gets exactly one *typed* answer: success or a
 ///     protocol error code, never a transport error or a hang;
 ///   - every completed answer is byte-identical to the in-process
-///     golden for its source — churn may cost retries, never bytes;
+///     golden for its source — an outage may cost a recompute, never
+///     bytes;
 ///   - no tenant starves: each tenant completes work despite quotas
 ///     and shedding;
-///   - the router's stats surface stays coherent (counters present and
-///     parseable) through the churn.
+///   - the daemon's stats surface stays coherent through the churn, and
+///     its remote tier serves hits again once the store is back.
 ///
 /// Whole-process SIGKILL soak — real processes, real signals — is
 /// scripts/tier1.sh pass 11; this in-process twin runs under ASan in
@@ -29,7 +32,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "cache/RemoteCache.h"
-#include "router/Router.h"
 #include "service/CheckRunner.h"
 #include "service/Client.h"
 #include "service/Server.h"
@@ -68,8 +70,7 @@ std::string freshDir(const std::string &Tag) {
   return D;
 }
 
-/// The soak corpus: small, distinct sources so cache keys differ and
-/// every shard can serve any of them.
+/// The soak corpus: small, distinct sources so cache keys differ.
 const std::array<const char *, 3> SoakSources = {
     "unsigned int soak_a(unsigned int x) { return x + 1u; }\n",
     "unsigned int soak_b(unsigned int x, unsigned int y) {\n"
@@ -88,42 +89,6 @@ std::string respSnapshot(const CheckResponse &Resp) {
     S += D + "\n";
   return S;
 }
-
-/// One shard that can be stopped and restarted on its original port, as
-/// the chaos schedule demands.
-struct SoakShard {
-  service::ServerOptions SO;
-  std::unique_ptr<cache::RemoteCacheClient> Remote;
-  std::unique_ptr<service::Server> Srv;
-  uint16_t Port = 0;
-
-  bool startFresh(const std::string &CachedSock) {
-    Remote.reset(new cache::RemoteCacheClient(CachedSock));
-    SO.SocketPath = "";
-    SO.ListenAddr = "127.0.0.1:0";
-    SO.Workers = 2;
-    SO.QueueCapacity = 8;
-    SO.TenantQuotaRps = 200; // high enough that no tenant starves
-    SO.Remote = Remote.get();
-    Srv.reset(new service::Server(SO));
-    if (!Srv->start())
-      return false;
-    Port = Srv->tcpPort();
-    return true;
-  }
-
-  void kill() {
-    if (Srv)
-      Srv->stop();
-    Srv.reset();
-  }
-
-  bool restart() {
-    SO.ListenAddr = "127.0.0.1:" + std::to_string(Port);
-    Srv.reset(new service::Server(SO));
-    return Srv->start();
-  }
-};
 
 TEST(FleetSoak, SeededChurnYieldsTypedAnswersAndExactBytes) {
   unsigned Seed = 20260808;
@@ -144,33 +109,36 @@ TEST(FleetSoak, SeededChurnYieldsTypedAnswersAndExactBytes) {
     Golden[I] = respSnapshot(Ref);
   }
 
-  // The shared remote tier (restarted mid-soak by the chaos schedule).
+  // The shared remote tier (restarted mid-soak by the chaos schedule),
+  // then the one daemon over it. Its quota is high enough that no
+  // tenant starves.
   cache::RemoteCacheServerOptions CO;
   CO.SocketPath = Dir + "/cached.sock";
   std::unique_ptr<cache::RemoteCacheServer> Cached(
       new cache::RemoteCacheServer(CO));
   ASSERT_TRUE(Cached->start());
+  cache::RemoteCacheClient Remote(CO.SocketPath);
+  const std::string Token = "soak-secret";
+  service::ServerOptions SO;
+  SO.SocketPath = "";
+  SO.ListenAddr = "127.0.0.1:0";
+  SO.AuthToken = Token;
+  SO.Workers = 2;
+  SO.QueueCapacity = 8;
+  SO.TenantQuotaRps = 200;
+  SO.CacheDir = Dir + "/tier-default";
+  SO.Remote = &Remote;
+  service::Server Srv(SO);
+  ASSERT_TRUE(Srv.start());
+  const std::string Addr = "127.0.0.1:" + std::to_string(Srv.tcpPort());
 
-  // Three shards, then the router over them. Local fallback stays on:
-  // with the whole fleet down mid-churn the router must still answer
-  // with the same bytes, not an error.
-  std::array<SoakShard, 3> Shards;
-  router::RouterOptions RO;
-  RO.SocketPath = Dir + "/router.sock";
-  RO.HealthProbeMs = 40;
-  RO.BreakerCooldownMs = 80;
-  for (SoakShard &S : Shards) {
-    ASSERT_TRUE(S.startFresh(CO.SocketPath));
-    RO.Shards.push_back("127.0.0.1:" + std::to_string(S.Port));
-  }
-  router::Router R(RO);
-  ASSERT_TRUE(R.start());
-
-  // Mixed load: 4 clients, 3:1 bulk:interactive, three tenants. Issue
-  // counts and the per-request mix all derive from the seed.
+  // Mixed load: 4 clients, 3:1 bulk:interactive, three tenants, three
+  // cache directories. Issue counts and the per-request mix all derive
+  // from the seed.
   constexpr int ClientThreads = 4;
   constexpr int RequestsPerThread = 30;
   const std::array<const char *, 3> Tenants = {"t0", "t1", "t2"};
+  constexpr unsigned CacheTiers = 3;
 
   std::atomic<uint64_t> Completed{0}, Refused{0}, Untyped{0}, Wrong{0};
   std::mutex TenantsM;
@@ -183,6 +151,8 @@ TEST(FleetSoak, SeededChurnYieldsTypedAnswersAndExactBytes) {
     unsigned ThreadSeed = Rng();
     Clients.emplace_back([&, T, ThreadSeed] {
       std::mt19937 MyRng(ThreadSeed);
+      std::string Err;
+      service::Client C = service::Client::connectTcp(Addr, Token, Err);
       for (int I = 0; I != RequestsPerThread; ++I) {
         size_t Src = MyRng() % SoakSources.size();
         CheckRequest Req;
@@ -190,21 +160,14 @@ TEST(FleetSoak, SeededChurnYieldsTypedAnswersAndExactBytes) {
         Req.Prio = (MyRng() % 4 != 0) ? Priority::Bulk
                                       : Priority::Interactive;
         Req.Tenant = Tenants[MyRng() % Tenants.size()];
+        Req.CacheDir = Dir + "/tier" + std::to_string(MyRng() % CacheTiers);
         if (Req.Prio == Priority::Bulk)
           Req.TimeoutMs = 30000; // ample: sheds come from quota/churn
         Req.TraceId = "soak-" + std::to_string(T) + "-" + std::to_string(I);
 
-        // One fresh connection per request: mid-churn the router may
-        // drop a connection whose forward died with a shard; the
-        // contract under test is the *answer* stream, so a dial retry
-        // is allowed, an untyped answer is not.
-        service::Client C = service::Client::connect(RO.SocketPath);
-        if (!C.connected()) {
-          Untyped.fetch_add(1);
-          continue;
-        }
+        // The daemon never goes away, so the contract under test is
+        // strict: one connection per client carries every answer.
         CheckResponse Resp;
-        std::string Err;
         if (!C.check(Req, Resp, Err)) {
           Untyped.fetch_add(1);
           continue;
@@ -217,7 +180,6 @@ TEST(FleetSoak, SeededChurnYieldsTypedAnswersAndExactBytes) {
           TenantCompleted[Req.Tenant]++;
         } else if (Resp.Err == ErrorCode::Busy ||
                    Resp.Err == ErrorCode::Shed ||
-                   Resp.Err == ErrorCode::Draining ||
                    Resp.Err == ErrorCode::DeadlineExceeded) {
           Refused.fetch_add(1);
         } else {
@@ -231,26 +193,21 @@ TEST(FleetSoak, SeededChurnYieldsTypedAnswersAndExactBytes) {
     });
   }
 
-  // The chaos schedule: four rounds of seeded shard churn, with one
-  // accached outage in the middle. Runs concurrently with the load.
+  // The chaos schedule: four seeded accached outages, each a stop, a
+  // gap, and a restart on the same socket with an empty store. Runs
+  // concurrently with the load.
   std::thread Chaos([&] {
     std::mt19937 ChaosRng(Seed ^ 0x5eed);
     for (int Round = 0; Round != 4; ++Round) {
-      size_t Victim = ChaosRng() % Shards.size();
-      Shards[Victim].kill();
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(60 + ChaosRng() % 80));
-      ASSERT_TRUE(Shards[Victim].restart())
-          << "shard " << Victim << " could not rebind its port";
-      if (Round == 1) {
-        Cached->stop();
-        Cached.reset();
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        Cached.reset(new cache::RemoteCacheServer(CO));
-        ASSERT_TRUE(Cached->start());
-      }
       std::this_thread::sleep_for(
           std::chrono::milliseconds(40 + ChaosRng() % 60));
+      Cached->stop();
+      Cached.reset();
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(60 + ChaosRng() % 80));
+      Cached.reset(new cache::RemoteCacheServer(CO));
+      ASSERT_TRUE(Cached->start())
+          << "accached could not rebind its socket in round " << Round;
     }
   });
 
@@ -267,7 +224,7 @@ TEST(FleetSoak, SeededChurnYieldsTypedAnswersAndExactBytes) {
       << "some requests got transport errors instead of typed answers";
   EXPECT_EQ(Wrong.load(), 0u) << "churn changed answer bytes";
   EXPECT_GE(Completed.load(), Issued / 2)
-      << "churn refused most of the load; the fleet never stabilised";
+      << "churn refused most of the load; the daemon never stabilised";
   {
     std::lock_guard<std::mutex> L(TenantsM);
     for (const char *T : Tenants)
@@ -275,21 +232,35 @@ TEST(FleetSoak, SeededChurnYieldsTypedAnswersAndExactBytes) {
   }
 
   // The stats surface survived the churn coherently.
-  service::Client C = service::Client::connect(RO.SocketPath);
-  ASSERT_TRUE(C.connected());
-  support::Json Stats;
   std::string Err;
+  service::Client C = service::Client::connectTcp(Addr, Token, Err);
+  ASSERT_TRUE(C.connected()) << Err;
+  support::Json Stats;
   ASSERT_TRUE(C.stats(Stats, Err)) << Err;
-  EXPECT_GE(Stats.get("completed").asInt(), 1);
-  EXPECT_TRUE(Stats.get("hedges").isNumber());
-  EXPECT_TRUE(Stats.get("retry_budget_exhausted").isNumber());
-  ASSERT_EQ(Stats.get("shards").items().size(), Shards.size());
-  for (const support::Json &SJ : Stats.get("shards").items())
-    EXPECT_TRUE(SJ.get("breaker").isString());
+  EXPECT_GE(Stats.get("requests").get("completed").asInt(), 1);
+  for (const char *T : Tenants)
+    EXPECT_GE(Stats.get("tenants").get(T).get("admitted").asInt(), 1)
+        << "tenant " << T << " missing from the stats ledger";
+  ASSERT_TRUE(Stats.get("remote_hits").isNumber());
+  int64_t HitsBefore = Stats.get("remote_hits").asInt();
 
-  R.stop();
-  for (SoakShard &S : Shards)
-    S.kill();
+  // Recovery: with the store back, a source first computed under one
+  // cache directory is a remote hit under a fresh one — the tier
+  // re-dialed after the outages and serves the exact bytes.
+  for (const char *Tier : {"/probe-a", "/probe-b"}) {
+    CheckRequest Req;
+    Req.Source = SoakSources[0];
+    Req.CacheDir = Dir + Tier;
+    CheckResponse Resp;
+    ASSERT_TRUE(C.check(Req, Resp, Err)) << Err;
+    ASSERT_TRUE(Resp.Ok) << Resp.Message;
+    EXPECT_EQ(respSnapshot(Resp), Golden[0]);
+  }
+  ASSERT_TRUE(C.stats(Stats, Err)) << Err;
+  EXPECT_GT(Stats.get("remote_hits").asInt(), HitsBefore)
+      << "the remote tier never recovered from the outages";
+
+  Srv.stop();
   if (Cached)
     Cached->stop();
 }

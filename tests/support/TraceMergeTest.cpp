@@ -76,23 +76,23 @@ Json mergeOk(const std::vector<std::string> &Frags) {
 } // namespace
 
 TEST(TraceMerge, PidLanesGetRoleNamesAndOneTimeline) {
-  // Three processes; the router booted 1000 µs before the shard and
+  // Three processes; the client booted 1000 µs before the shard and
   // 2000 µs before the cache (wall-clock anchors).
   Json J = mergeOk({
-      fragment(100, "router", 1000000, 50, "t-1", "101", ""),
+      fragment(100, "client", 1000000, 50, "t-1", "101", ""),
       fragment(200, "shard", 1001000, 50, "t-1", "201", "101"),
       fragment(300, "cache", 1002000, 50, "t-1", "301", "201"),
   });
   ASSERT_TRUE(J.get("traceEvents").isArray());
 
   int Meta = 0, Spans = 0;
-  double RouterTs = -1, ShardTs = -1, CacheTs = -1;
+  double ClientTs = -1, ShardTs = -1, CacheTs = -1;
   for (const Json &E : J.get("traceEvents").items()) {
     if (E.get("ph").asString() == "M") {
       ++Meta;
       EXPECT_EQ(E.get("name").asString(), "process_name");
       const std::string &Role = E.get("args").get("name").asString();
-      EXPECT_TRUE(Role == "router" || Role == "shard" || Role == "cache")
+      EXPECT_TRUE(Role == "client" || Role == "shard" || Role == "cache")
           << Role;
       continue;
     }
@@ -100,7 +100,7 @@ TEST(TraceMerge, PidLanesGetRoleNamesAndOneTimeline) {
     double Ts = E.get("ts").asNumber();
     switch (static_cast<int>(E.get("pid").asNumber())) {
     case 100:
-      RouterTs = Ts;
+      ClientTs = Ts;
       break;
     case 200:
       ShardTs = Ts;
@@ -113,8 +113,8 @@ TEST(TraceMerge, PidLanesGetRoleNamesAndOneTimeline) {
   EXPECT_EQ(Meta, 3);  // one lane label per process
   EXPECT_EQ(Spans, 3);
   // Rebased onto the earliest anchor: the shard's event lands 1000 µs
-  // after the router's, the cache's 2000 µs after.
-  EXPECT_DOUBLE_EQ(RouterTs, 50);
+  // after the client's, the cache's 2000 µs after.
+  EXPECT_DOUBLE_EQ(ClientTs, 50);
   EXPECT_DOUBLE_EQ(ShardTs, 1050);
   EXPECT_DOUBLE_EQ(CacheTs, 2050);
   EXPECT_EQ(J.get("otherData").get("mergedFragments").asInt(), 3);
@@ -136,7 +136,7 @@ TEST(TraceMerge, RuleProfilesAndDropCountersSum) {
 TEST(TraceMerge, EmptyFragmentsAreSkippedNotFatal) {
   Json J = mergeOk({
       "",
-      fragment(7, "router", 0, 5, "t-3", "71", ""),
+      fragment(7, "client", 0, 5, "t-3", "71", ""),
       "",
   });
   EXPECT_EQ(J.get("otherData").get("mergedFragments").asInt(), 1);

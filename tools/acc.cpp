@@ -6,16 +6,16 @@
 // of tests/core/GoldenSpecTest.cpp so daemon output can be diffed
 // byte-for-byte against tests/golden/*.expected.
 //
-// Degrades gracefully: when the daemon is unreachable, dies mid-request,
-// or answers `deadline_exceeded`/`busy`/`draining`, the check runs
-// in-process through the same response builder (service/CheckRunner.h),
-// against the same cache directory — the output bytes are identical
-// either way. `--no-fallback` turns this off for scripts that must know
-// the daemon served them.
+// Degrades gracefully, over either transport: when the daemon is
+// unreachable, dies mid-request, or answers `deadline_exceeded`/`busy`/
+// `draining`/`internal`, the check runs in-process through the same
+// response builder (service/CheckRunner.h), against the same cache
+// directory — the output bytes are identical either way. `--no-fallback`
+// turns this off for scripts that must know the daemon served them.
 //
 //   acc --socket /tmp/acd.sock file.c
 //   acc --socket /tmp/acd.sock --corpus swap --golden
-//   acc --socket /tmp/acd.sock --stats
+//   acc --connect 127.0.0.1:7001 --auth-token-file tok --stats
 //
 //===----------------------------------------------------------------------===//
 
@@ -46,10 +46,10 @@ void usage(const char *Argv0) {
       stderr,
       "usage: %s [options] [file.c | -]\n"
       "  --socket PATH     daemon socket (default: acd.sock)\n"
-      "  --router H:P      send to an acrouter fleet front-end over TCP\n"
+      "  --connect H:P     dial a daemon (acd or accached) over TCP\n"
       "                    instead of a local daemon socket\n"
       "  --auth-token-file F present the shared token in F when dialing\n"
-      "                    a --router (or any TCP) endpoint\n"
+      "                    a --connect endpoint\n"
       "  --corpus NAME     use an embedded source instead of a file:\n"
       "                    max gcd swap midpoint binary_search suzuki\n"
       "                    memset reverse schorr_waite, or a synthetic\n"
@@ -139,7 +139,7 @@ std::string goldenSnapshot(const CheckResponse &Resp) {
 
 int main(int argc, char **argv) {
   std::string SocketPath = "acd.sock";
-  std::string RouterAddr, AuthToken;
+  std::string ConnectAddr, AuthToken;
   std::string File, Corpus, TracePath, CertPath, CertDir;
   bool Golden = false, Stats = false, Ping = false, Drain = false;
   bool NoFallback = false, Metrics = false, RuleProfile = false;
@@ -155,11 +155,11 @@ int main(int argc, char **argv) {
       if (!V)
         return usage(argv[0]), 2;
       SocketPath = V;
-    } else if (Arg == "--router") {
+    } else if (Arg == "--connect") {
       const char *V = Next();
       if (!V)
         return usage(argv[0]), 2;
-      RouterAddr = V;
+      ConnectAddr = V;
     } else if (Arg == "--auth-token-file") {
       const char *V = Next();
       if (!V || !readTokenFile(V, AuthToken)) {
@@ -274,21 +274,17 @@ int main(int argc, char **argv) {
 
   std::string Err;
 
-  // One dial path for both transports: --router (TCP, optionally
+  // One endpoint for both transports: --connect (TCP, optionally
   // authenticated) or the default Unix daemon socket.
-  const std::string &Endpoint = RouterAddr.empty() ? SocketPath : RouterAddr;
-  auto dial = [&](std::string &DialErr) {
-    return RouterAddr.empty()
-               ? Client::connect(SocketPath)
-               : Client::connectTcp(RouterAddr, AuthToken, DialErr);
-  };
+  Endpoint At = ConnectAddr.empty() ? Endpoint{SocketPath, false}
+                                    : Endpoint{ConnectAddr, true};
 
   // Admin ops address a specific daemon; there is nothing to degrade to.
   if (Ping || Stats || Metrics || Drain) {
-    Client C = dial(Err);
+    Client C = Client::dial(At, AuthToken, Err);
     if (!C.connected()) {
       std::fprintf(stderr, "acc: cannot connect to %s (%s)\n",
-                   Endpoint.c_str(),
+                   At.Address.c_str(),
                    Err.empty() ? "is the daemon running?" : Err.c_str());
       return 1;
     }
@@ -369,10 +365,10 @@ int main(int argc, char **argv) {
     Resp = runCheck(Req, Ctx);
     UsedFallback = true;
   } else if (NoFallback) {
-    Client C = dial(Err);
+    Client C = Client::dial(At, AuthToken, Err);
     if (!C.connected()) {
       std::fprintf(stderr, "acc: cannot connect to %s (%s)\n",
-                   Endpoint.c_str(),
+                   At.Address.c_str(),
                    Err.empty() ? "is the daemon running?" : Err.c_str());
       return 1;
     }
@@ -380,21 +376,9 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "acc: request failed: %s\n", Err.c_str());
       return 1;
     }
-  } else if (!RouterAddr.empty()) {
-    // Router path with graceful degradation: the router already degrades
-    // shard-by-shard; this covers the router itself being unreachable.
-    Client C = dial(Err);
-    if (C.connected() && C.checkRetry(Req, Resp, Err)) {
-      // served by the fleet
-    } else {
-      Resp = runLocalCheck(Req);
-      UsedFallback = true;
-      std::fprintf(stderr, "acc: router %s unreachable (%s); ran in-process\n",
-                   RouterAddr.c_str(), Err.c_str());
-    }
   } else {
     std::string Note;
-    Resp = checkWithFallback(SocketPath, Req, UsedFallback, Note);
+    Resp = checkWithFallback(At, AuthToken, Req, UsedFallback, Note);
     if (UsedFallback)
       std::fprintf(stderr, "acc: %s\n", Note.c_str());
   }

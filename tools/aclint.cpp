@@ -35,11 +35,12 @@
 //
 //   aclint fleet <file.json> [--min-speedup X] [--min-hit-rate R]
 //       The file is a BENCH_fleet.json as written by bench/fleet_throughput:
-//       a baseline pass and one entry per shard count, each with a
-//       positive requests/sec, ordered latency percentiles, zero
-//       correctness diffs, and a remote-tier hit rate in [0,1].
-//       --min-speedup bounds the 4-shard speedup from below;
-//       --min-hit-rate applies to every multi-shard entry.
+//       a cold standalone baseline pass and a standalone + warm accached
+//       ("remote") pass, each with a positive requests/sec, ordered
+//       latency percentiles and zero correctness diffs, the remote pass
+//       with a hit rate in [0,1]. --min-speedup bounds the remote pass's
+//       speedup over the baseline from below; --min-hit-rate bounds its
+//       hit rate.
 //
 //   aclint cert <file.acpc> [--min-claims N] [--require-meta KEY]...
 //       The file has the proof-certificate *shape* (docs/PROTOCOL.md
@@ -223,7 +224,7 @@ int lintTrace(const std::string &Path,
 /// events agree on one trace id, the spans come from at least
 /// \p MinPids distinct processes, and every parent reference resolves
 /// to a span recorded somewhere in the merged file — the cross-process
-/// chain (router -> shard -> cache) has no orphans.
+/// chain (acd -> accached) has no orphans.
 int lintFleettrace(const std::string &Path, int MinPids,
                    const std::string &ExpectTraceId) {
   std::string Text;
@@ -419,8 +420,8 @@ int lintMetrics(const std::string &Path,
 // fleet mode
 //===----------------------------------------------------------------------===//
 
-/// Shape-checks one measured pass (the baseline or a per-shard-count
-/// entry): positive throughput, ordered percentiles, no lost requests.
+/// Shape-checks one measured pass (the baseline or the remote pass):
+/// positive throughput, ordered percentiles, no lost requests.
 void lintFleetPass(const std::string &Where, const Json &P) {
   if (!P.isObject()) {
     finding(Where + ": not an object");
@@ -462,43 +463,21 @@ int lintFleet(const std::string &Path, double MinSpeedup,
     return 1;
   }
   lintFleetPass(Path + ": baseline", J.get("baseline"));
-  const Json &Fleets = J.get("fleets");
-  if (!Fleets.isArray() || Fleets.items().empty()) {
-    finding(Path + ": no fleets array");
-    return 1;
-  }
-  double PrevShards = 0;
-  size_t Idx = 0;
-  for (const Json &F : Fleets.items()) {
-    std::string Where = Path + ": fleets[" + std::to_string(Idx++) + "]";
-    lintFleetPass(Where, F);
-    if (!F.isObject())
-      continue;
-    if (!F.get("shards").isNumber() || F.get("shards").asNumber() < 1)
-      finding(Where + ": bad shard count");
-    else {
-      double Shards = F.get("shards").asNumber();
-      if (Shards <= PrevShards)
-        finding(Where + ": shard counts not strictly increasing");
-      PrevShards = Shards;
-    }
-    if (!F.get("remote_hit_rate").isNumber() ||
-        F.get("remote_hit_rate").asNumber() < 0 ||
-        F.get("remote_hit_rate").asNumber() > 1)
-      finding(Where + ": remote_hit_rate not in [0,1]");
-    else if (MinHitRate > 0 && F.get("shards").asNumber() > 1 &&
-             F.get("remote_hit_rate").asNumber() < MinHitRate)
-      finding(Where + ": remote_hit_rate " +
-              std::to_string(F.get("remote_hit_rate").asNumber()) +
-              " below bound " + std::to_string(MinHitRate));
-  }
-  if (!J.get("speedup_at_4").isNumber())
-    finding(Path + ": missing speedup_at_4");
-  else if (MinSpeedup > 0 &&
-           J.get("speedup_at_4").asNumber() < MinSpeedup)
-    finding(Path + ": speedup_at_4 " +
-            std::to_string(J.get("speedup_at_4").asNumber()) +
-            " below bound " + std::to_string(MinSpeedup));
+  const Json &Remote = J.get("remote");
+  lintFleetPass(Path + ": remote", Remote);
+  const Json &Hit = Remote.get("remote_hit_rate");
+  if (!Hit.isNumber() || Hit.asNumber() < 0 || Hit.asNumber() > 1)
+    finding(Path + ": remote: remote_hit_rate not in [0,1]");
+  else if (Hit.asNumber() < MinHitRate)
+    finding(Path + ": remote: remote_hit_rate " +
+            std::to_string(Hit.asNumber()) + " below bound " +
+            std::to_string(MinHitRate));
+  if (!J.get("speedup").isNumber())
+    finding(Path + ": missing speedup");
+  else if (J.get("speedup").asNumber() < MinSpeedup)
+    finding(Path + ": speedup " +
+            std::to_string(J.get("speedup").asNumber()) + " below bound " +
+            std::to_string(MinSpeedup));
   return Findings ? 1 : 0;
 }
 

@@ -33,7 +33,7 @@ void usage(const char *Argv0) {
       "  --out FILE          write the merged trace here (default: stdout)\n"
       "  --auth-token-file F auth token presented to each daemon\n"
       "\n"
-      "Each address is an acd / acrouter / accached daemon; `trace_pull`\n"
+      "Each address is an acd or accached daemon; `trace_pull`\n"
       "drains its in-memory span buffer (boot the daemons with --trace).\n",
       Argv0);
 }
