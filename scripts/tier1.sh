@@ -894,10 +894,10 @@ else
   FLEET_BENCH="$(pwd)/build/bench/fleet_throughput"
   (cd "$FLEET" && "$FLEET_BENCH" >"$FLEET/bench.log" 2>&1) || {
     echo "tier-1: FAILED — fleet_throughput missed its floor:" >&2
-    grep -v '^{' "$FLEET/bench.log" | tail -10 >&2
+    tail -10 "$FLEET/bench.log" >&2
     exit 1
   }
-  grep -v '^{' "$FLEET/bench.log" | tail -9 | head -8
+  tail -9 "$FLEET/bench.log" | head -8
   if ! "$ACLINT" fleet "$FLEET/BENCH_fleet.json" --min-speedup 5 \
       --min-hit-rate 0.9; then
     echo "tier-1: FAILED — BENCH_fleet.json did not lint." >&2

@@ -28,6 +28,15 @@ static InternStore<Term> &termStore() {
 
 size_t ac::hol::internedTermCount() { return termStore().size(); }
 
+/// The top six bits of the name's string hash pick the bit.
+static uint64_t nameBit(size_t NameHash) {
+  return uint64_t(1) << (static_cast<uint64_t>(NameHash) >> 58);
+}
+
+uint64_t ac::hol::freeNameBit(const std::string &Name) {
+  return nameBit(std::hash<std::string>()(Name));
+}
+
 /// If \p T is `Pair a b`, fills A/B.
 static bool destPairApp(const TermRef &T, TermRef &A, TermRef &B) {
   if (!T->isApp() || !T->fun()->isApp())
@@ -78,7 +87,8 @@ TermRef Term::mkFree(const std::string &Name, TypeRef Ty) {
   assert(Ty && "free variable requires a type");
   // The hash keys the name only (as termEq compares Frees); same-name
   // Frees at different types share a bucket and are split by the match.
-  size_t H = combineHash(std::hash<std::string>()(Name), 0x22);
+  size_t NameHash = std::hash<std::string>()(Name);
+  size_t H = combineHash(NameHash, 0x22);
   return termStore().get(
       H,
       [&](const Term &R) {
@@ -90,6 +100,7 @@ TermRef Term::mkFree(const std::string &Name, TypeRef Ty) {
         T.Name = Name;
         T.Hash = H;
         T.Id = Id;
+        T.FreeMask = nameBit(NameHash);
         T.TyVar = Ty->hasVar();
         T.Ty = std::move(Ty);
         return T;
@@ -157,6 +168,7 @@ TermRef Term::mkLam(const std::string &Name, TypeRef ArgTy, TermRef Body) {
         T.Schematic = Body->hasSchematic();
         T.TyVar = ArgTy->hasVar() || Body->hasTyVar();
         T.BetaNormal = Body->isBetaNormal();
+        T.FreeMask = Body->freeMask();
         T.Ty = std::move(ArgTy);
         T.A = std::move(Body);
         return T;
@@ -182,6 +194,7 @@ TermRef Term::mkApp(TermRef F, TermRef X) {
         T.TyVar = F->hasTyVar() || X->hasTyVar();
         T.BetaNormal =
             F->isBetaNormal() && X->isBetaNormal() && !isRootRedex(F, X);
+        T.FreeMask = F->freeMask() | X->freeMask();
         T.A = std::move(F);
         T.B = std::move(X);
         return T;
@@ -366,22 +379,27 @@ TermRef ac::hol::betaNorm(const TermRef &T) {
   }
 }
 
-TermRef ac::hol::substFree(const TermRef &T, const std::string &Name,
-                           const TermRef &Repl) {
+/// substFree under \p Depth binders: \p Repl is lifted only where it is
+/// placed, so a walk that finds no occurrence interns nothing.
+static TermRef substFreeBit(const TermRef &T, const std::string &Name,
+                            uint64_t Bit, const TermRef &Repl,
+                            unsigned Depth) {
+  if (!(T->freeMask() & Bit))
+    return T;
   switch (T->kind()) {
   case Term::Kind::Free:
     if (T->name() == Name)
-      return Repl;
+      return liftLoose(Repl, Depth);
     return T;
   case Term::Kind::Lam: {
-    TermRef B = substFree(T->body(), Name, liftLoose(Repl, 1));
+    TermRef B = substFreeBit(T->body(), Name, Bit, Repl, Depth + 1);
     if (B.get() == T->body().get())
       return T;
     return Term::mkLam(T->name(), T->type(), std::move(B));
   }
   case Term::Kind::App: {
-    TermRef F = substFree(T->fun(), Name, Repl);
-    TermRef X = substFree(T->argTerm(), Name, Repl);
+    TermRef F = substFreeBit(T->fun(), Name, Bit, Repl, Depth);
+    TermRef X = substFreeBit(T->argTerm(), Name, Bit, Repl, Depth);
     if (F.get() == T->fun().get() && X.get() == T->argTerm().get())
       return T;
     return Term::mkApp(std::move(F), std::move(X));
@@ -391,20 +409,35 @@ TermRef ac::hol::substFree(const TermRef &T, const std::string &Name,
   }
 }
 
-bool ac::hol::occursFree(const TermRef &T, const std::string &Name) {
+TermRef ac::hol::substFree(const TermRef &T, const std::string &Name,
+                           const TermRef &Repl) {
+  return substFreeBit(T, Name, freeNameBit(Name), Repl, 0);
+}
+
+static bool occursFreeBit(const TermRef &T, const std::string &Name,
+                          uint64_t Bit) {
+  if (!(T->freeMask() & Bit))
+    return false;
   switch (T->kind()) {
   case Term::Kind::Free:
     return T->name() == Name;
   case Term::Kind::Lam:
-    return occursFree(T->body(), Name);
+    return occursFreeBit(T->body(), Name, Bit);
   case Term::Kind::App:
-    return occursFree(T->fun(), Name) || occursFree(T->argTerm(), Name);
+    return occursFreeBit(T->fun(), Name, Bit) ||
+           occursFreeBit(T->argTerm(), Name, Bit);
   default:
     return false;
   }
 }
 
+bool ac::hol::occursFree(const TermRef &T, const std::string &Name) {
+  return occursFreeBit(T, Name, freeNameBit(Name));
+}
+
 static void collectFrees(const TermRef &T, std::vector<std::string> &Out) {
+  if (T->freeMask() == 0)
+    return;
   switch (T->kind()) {
   case Term::Kind::Free:
     for (const std::string &N : Out)
@@ -430,8 +463,13 @@ std::vector<std::string> ac::hol::freeVars(const TermRef &T) {
   return Out;
 }
 
+/// Turns Free \p Name into Bound(\p Depth) and shifts the loose bounds at
+/// or past \p Depth over the new binder. A subterm without the name's bit
+/// and without such bounds is already its own result.
 static TermRef abstractFree(const TermRef &T, const std::string &Name,
-                            unsigned Depth) {
+                            uint64_t Bit, unsigned Depth) {
+  if (!(T->freeMask() & Bit) && T->maxLoose() <= Depth)
+    return T;
   switch (T->kind()) {
   case Term::Kind::Free:
     if (T->name() == Name)
@@ -442,12 +480,19 @@ static TermRef abstractFree(const TermRef &T, const std::string &Name,
     if (T->index() >= Depth)
       return Term::mkBound(T->index() + 1);
     return T;
-  case Term::Kind::Lam:
-    return Term::mkLam(T->name(), T->type(),
-                       abstractFree(T->body(), Name, Depth + 1));
-  case Term::Kind::App:
-    return Term::mkApp(abstractFree(T->fun(), Name, Depth),
-                       abstractFree(T->argTerm(), Name, Depth));
+  case Term::Kind::Lam: {
+    TermRef B = abstractFree(T->body(), Name, Bit, Depth + 1);
+    if (B.get() == T->body().get())
+      return T;
+    return Term::mkLam(T->name(), T->type(), std::move(B));
+  }
+  case Term::Kind::App: {
+    TermRef F = abstractFree(T->fun(), Name, Bit, Depth);
+    TermRef X = abstractFree(T->argTerm(), Name, Bit, Depth);
+    if (F.get() == T->fun().get() && X.get() == T->argTerm().get())
+      return T;
+    return Term::mkApp(std::move(F), std::move(X));
+  }
   default:
     return T;
   }
@@ -455,5 +500,6 @@ static TermRef abstractFree(const TermRef &T, const std::string &Name,
 
 TermRef ac::hol::lambdaFree(const std::string &Name, TypeRef Ty,
                             const TermRef &T) {
-  return Term::mkLam(Name, std::move(Ty), abstractFree(T, Name, 0));
+  return Term::mkLam(Name, std::move(Ty),
+                     abstractFree(T, Name, freeNameBit(Name), 0));
 }

@@ -20,8 +20,9 @@
 /// and caches its hash, its size (the "term size" metric of Table 5 — the
 /// number of AST nodes), the number of loose bound variables, whether
 /// schematics occur, whether type variables occur, whether the node is
-/// already in beta normal form, and (lazily) the type of closed terms —
-/// so the unifier, the rewriters and the statistics pass are cheap.
+/// already in beta normal form, a 64-bit summary of its free-variable
+/// names, and (lazily) the type of closed terms — so the unifier, the
+/// rewriters and the statistics pass are cheap.
 ///
 /// Note the interner's equality is *full structural identity* (it keys
 /// Free and Var nodes on their types and Lam nodes on their display
@@ -120,6 +121,11 @@ public:
   /// True if the term contains no beta redex and no fst/snd-of-Pair
   /// projection redex — betaNorm(T) == T, decided in O(1).
   bool isBetaNormal() const { return BetaNormal; }
+  /// Free-name summary: the OR of freeNameBit(N) over the names N of the
+  /// Free nodes in this term. A clear bit proves the name does not occur
+  /// free, so walks that only touch one free name skip the subterm; a set
+  /// bit may be a collision and proves nothing.
+  uint64_t freeMask() const { return FreeMask; }
 
   /// Cached type of a closed (maxLoose()==0) term, or nullptr if not yet
   /// computed. Interned types are immortal, so the raw pointer is safe to
@@ -140,7 +146,8 @@ public:
         B(std::move(O.B)), Hash(O.Hash), Id(O.Id), Size(O.Size),
         MaxLoose(O.MaxLoose), Schematic(O.Schematic), TyVar(O.TyVar),
         BetaNormal(O.BetaNormal),
-        CachedTy(O.CachedTy.load(std::memory_order_relaxed)) {}
+        CachedTy(O.CachedTy.load(std::memory_order_relaxed)),
+        FreeMask(O.FreeMask) {}
 
   //===--------------------------------------------------------------------===//
   // Factories (all interning: equal structure => same node)
@@ -173,7 +180,13 @@ private:
   /// Lazily computed type of a closed term (nullptr until first typeOf).
   /// Benign to race: every writer stores the same canonical pointer.
   mutable std::atomic<const Type *> CachedTy{nullptr};
+  /// Placed last, where it fills the tail padding of the 16-byte aligned
+  /// node instead of growing it.
+  uint64_t FreeMask = 0;
 };
+
+/// The bit a free variable named \p Name contributes to freeMask().
+uint64_t freeNameBit(const std::string &Name);
 
 /// Structural (de Bruijn alpha-) equality. Canonical refs to identical
 /// structure are pointer-equal (the fast path); the structural walk only
@@ -205,6 +218,8 @@ TermRef substBound(const TermRef &Body, const TermRef &Arg,
 TermRef betaNorm(const TermRef &T);
 
 /// Replaces the free variable \p Name with \p Repl (lifting under binders).
+/// Subterms whose freeMask() lacks the name's bit are returned as they
+/// are, so T itself comes back when \p Name does not occur.
 TermRef substFree(const TermRef &T, const std::string &Name,
                   const TermRef &Repl);
 
@@ -216,6 +231,8 @@ bool occursFree(const TermRef &T, const std::string &Name);
 std::vector<std::string> freeVars(const TermRef &T);
 
 /// Abstracts the free variable \p Name out of \p T, producing a lambda.
+/// Only the subterms that mention \p Name or a loose bound variable are
+/// rebuilt; the rest are shared with \p T.
 TermRef lambdaFree(const std::string &Name, TypeRef Ty, const TermRef &T);
 
 /// Number of live interned term nodes (diagnostics for the property

@@ -6,6 +6,9 @@
 
 #include "hol/Names.h"
 
+#include <unordered_map>
+#include <unordered_set>
+
 using namespace ac;
 using namespace ac::monad;
 using namespace ac::hol;
@@ -119,8 +122,25 @@ public:
 
 private:
   unsigned Budget;
+  /// Intern ids of nodes that simp returned unchanged without spending
+  /// budget: no rule fired anywhere inside them, so simp returns them
+  /// unchanged and spends nothing at any budget not above the current
+  /// one — and the budget only falls. A shared subterm is then walked
+  /// once per call, not once per occurrence, with unchanged results even
+  /// when the budget runs out.
+  std::unordered_set<uint64_t> Normal;
 
   TermRef simp(const TermRef &T) {
+    if (Normal.count(T->id()))
+      return T;
+    unsigned Before = Budget;
+    TermRef R = simpUncached(T);
+    if (R.get() == T.get() && Budget == Before)
+      Normal.insert(T->id());
+    return R;
+  }
+
+  TermRef simpUncached(const TermRef &T) {
     TermRef Cur = simpChildren(T);
     for (unsigned I = 0; I != 100 && Budget != 0; ++I) {
       TermRef Next = rules(Cur);
@@ -458,82 +478,117 @@ bool dataUpdateImmune(const TermRef &T, unsigned Depth) {
   }
 }
 
-TermRef dedupSpine(const TermRef &T, std::vector<TermRef> Seen);
-
-TermRef dedupChildren(const TermRef &T) {
-  switch (T->kind()) {
-  case Term::Kind::App:
-    return Term::mkApp(dedupChildren(T->fun()),
-                       dedupSpine(T->argTerm(), {}));
-  case Term::Kind::Lam:
-    return Term::mkLam(T->name(), T->type(), dedupSpine(T->body(), {}));
-  default:
-    return T;
+/// The guard-run deduplication walk. dedupSpine(T, {}) depends on T
+/// alone, so it is memoised on T's intern id: a subterm shared across the
+/// DAG is deduplicated once per call.
+class GuardDedup {
+public:
+  TermRef dedupSpine(const TermRef &T, std::vector<TermRef> Seen) {
+    if (!Seen.empty())
+      return dedupSpineUncached(T, std::move(Seen));
+    auto It = Fresh.find(T->id());
+    if (It != Fresh.end())
+      return It->second;
+    TermRef R = dedupSpineUncached(T, {});
+    Fresh.emplace(T->id(), R);
+    return R;
   }
-}
 
-TermRef dedupSpine(const TermRef &T, std::vector<TermRef> Seen) {
-  std::vector<TermRef> A;
-  TermRef BindHead;
-  if (!matchC(T, nm::Bind, 2, A, &BindHead) || !A[1]->isLam())
-    return dedupChildren(T);
-  const TermRef &M = A[0];
-  const TermRef &F = A[1];
+private:
+  /// dedupSpine(T, {}) by intern id.
+  std::unordered_map<uint64_t, TermRef> Fresh;
 
-  std::vector<TermRef> GA;
-  if (matchC(M, nm::Guard, 1, GA) && GA[0]->isLam() &&
-      GA[0]->body()->maxLoose() <= 1) {
-    std::vector<TermRef> Cs;
-    conjuncts(GA[0]->body(), Cs);
-    bool AllSeen = true;
-    for (const TermRef &C : Cs)
-      if (!seenHas(Seen, C)) {
-        AllSeen = false;
-        break;
-      }
-    if (AllSeen) {
-      // Redundant guard: drop it (the unit binder is unused).
-      TermRef Rest =
-          substBound(F->body(), Term::mkConst(nm::Unity, unitTy()));
-      return dedupSpine(Rest, std::move(Seen));
+  TermRef dedupChildren(const TermRef &T) {
+    switch (T->kind()) {
+    case Term::Kind::App: {
+      TermRef F = dedupChildren(T->fun());
+      TermRef X = dedupSpine(T->argTerm(), {});
+      if (F.get() == T->fun().get() && X.get() == T->argTerm().get())
+        return T;
+      return Term::mkApp(std::move(F), std::move(X));
     }
-    for (const TermRef &C : Cs)
-      if (!seenHas(Seen, C))
-        Seen.push_back(C);
-    TermRef NewF = Term::mkLam(F->name(), F->type(),
-                               dedupSpine(F->body(), Seen));
-    return mkApps(Term::mkConst(nm::Bind, BindHead->type()),
-                  {M, NewF});
+    case Term::Kind::Lam: {
+      TermRef B = dedupSpine(T->body(), {});
+      if (B.get() == T->body().get())
+        return T;
+      return Term::mkLam(T->name(), T->type(), std::move(B));
+    }
+    default:
+      return T;
+    }
   }
 
-  // Decide whether the step preserves the guard knowledge.
-  std::vector<TermRef> MA;
-  bool Preserves = false;
-  if (matchC(M, nm::Gets, 1, MA) || matchC(M, nm::Return, 1, MA) ||
-      M->isConst(nm::Skip))
-    Preserves = true;
-  else if (matchC(M, nm::Modify, 1, MA) && isDataOnlyModify(MA[0])) {
-    // The write changes heap data: drop conjuncts that read it, keep
-    // validity facts and plain globals (the Sec 4.4 design point).
-    std::vector<TermRef> Kept;
-    for (const TermRef &C : Seen)
-      if (dataUpdateImmune(C, 0))
-        Kept.push_back(C);
-    Seen = std::move(Kept);
-    Preserves = true;
+  /// Rebuilds `bind M (λ. Body)` from \p T's parts, or returns \p T when
+  /// neither changed.
+  static TermRef rebind(const TermRef &T, const TermRef &BindHead,
+                        const TermRef &M, const TermRef &F,
+                        const TermRef &NewM, TermRef NewBody) {
+    if (NewM.get() == M.get() && NewBody.get() == F->body().get())
+      return T;
+    TermRef NewF = Term::mkLam(F->name(), F->type(), std::move(NewBody));
+    return mkApps(BindHead, {NewM, NewF});
   }
-  if (!Preserves)
-    Seen.clear();
-  TermRef NewM = dedupChildren(M);
-  TermRef NewF =
-      Term::mkLam(F->name(), F->type(), dedupSpine(F->body(), Seen));
-  return mkApps(Term::mkConst(nm::Bind, BindHead->type()), {NewM, NewF});
-}
+
+  TermRef dedupSpineUncached(const TermRef &T, std::vector<TermRef> Seen) {
+    std::vector<TermRef> A;
+    TermRef BindHead;
+    if (!matchC(T, nm::Bind, 2, A, &BindHead) || !A[1]->isLam())
+      return dedupChildren(T);
+    const TermRef &M = A[0];
+    const TermRef &F = A[1];
+
+    std::vector<TermRef> GA;
+    if (matchC(M, nm::Guard, 1, GA) && GA[0]->isLam() &&
+        GA[0]->body()->maxLoose() <= 1) {
+      std::vector<TermRef> Cs;
+      conjuncts(GA[0]->body(), Cs);
+      bool AllSeen = true;
+      for (const TermRef &C : Cs)
+        if (!seenHas(Seen, C)) {
+          AllSeen = false;
+          break;
+        }
+      if (AllSeen) {
+        // Redundant guard: drop it (the unit binder is unused).
+        TermRef Rest =
+            substBound(F->body(), Term::mkConst(nm::Unity, unitTy()));
+        return dedupSpine(Rest, std::move(Seen));
+      }
+      for (const TermRef &C : Cs)
+        if (!seenHas(Seen, C))
+          Seen.push_back(C);
+      return rebind(T, BindHead, M, F, M,
+                    dedupSpine(F->body(), std::move(Seen)));
+    }
+
+    // Decide whether the step preserves the guard knowledge.
+    std::vector<TermRef> MA;
+    bool Preserves = false;
+    if (matchC(M, nm::Gets, 1, MA) || matchC(M, nm::Return, 1, MA) ||
+        M->isConst(nm::Skip))
+      Preserves = true;
+    else if (matchC(M, nm::Modify, 1, MA) && isDataOnlyModify(MA[0])) {
+      // The write changes heap data: drop conjuncts that read it, keep
+      // validity facts and plain globals (the Sec 4.4 design point).
+      std::vector<TermRef> Kept;
+      for (const TermRef &C : Seen)
+        if (dataUpdateImmune(C, 0))
+          Kept.push_back(C);
+      Seen = std::move(Kept);
+      Preserves = true;
+    }
+    if (!Preserves)
+      Seen.clear();
+    TermRef NewM = dedupChildren(M);
+    return rebind(T, BindHead, M, F, NewM,
+                  dedupSpine(F->body(), std::move(Seen)));
+  }
+};
 
 } // namespace
 
 TermRef ac::monad::simplifyMonadTerm(const TermRef &T, unsigned Budget) {
   AC_SPAN("monad.peephole");
   Peephole P(Budget);
-  return dedupSpine(P.run(T), {});
+  return GuardDedup().dedupSpine(P.run(T), {});
 }

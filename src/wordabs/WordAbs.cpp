@@ -1819,8 +1819,13 @@ TermRef WordAbstraction::replaceImages(const TermRef &T, const TypeRef &CTy,
       };
   Collect(CTy, CF, AF);
 
+  // Every pattern mentions CF, so a subterm whose free-name summary lacks
+  // CF's bit has nothing to replace and is returned as it is.
+  const uint64_t Bit = freeNameBit(CF->name());
   std::function<TermRef(const TermRef &)> Go =
       [&](const TermRef &U) -> TermRef {
+    if (!(U->freeMask() & Bit))
+      return U;
     for (const auto &[Pat, Rep] : Pats)
       if (termEq(U, Pat))
         return Rep;
@@ -1833,6 +1838,8 @@ TermRef WordAbstraction::replaceImages(const TermRef &T, const TypeRef &CTy,
       TermRef B = Go(U->body());
       if (!B)
         return nullptr;
+      if (B.get() == U->body().get())
+        return U;
       return Term::mkLam(U->name(), U->type(), B);
     }
     case Term::Kind::App: {
@@ -1840,6 +1847,8 @@ TermRef WordAbstraction::replaceImages(const TermRef &T, const TypeRef &CTy,
       TermRef X = F ? Go(U->argTerm()) : nullptr;
       if (!X)
         return nullptr;
+      if (F.get() == U->fun().get() && X.get() == U->argTerm().get())
+        return U;
       return Term::mkApp(F, X);
     }
     default:

@@ -12,7 +12,10 @@
 //     type arena both;
 //   * thread safety: 8 threads racing to intern the same and distinct
 //     structures agree on canonical nodes and never duplicate ids
-//     (scripts/tier1.sh replays this suite under ThreadSanitizer).
+//     (scripts/tier1.sh replays this suite under ThreadSanitizer);
+//   * free-name summaries: freeMask() covers every free name, and the
+//     walks that skip on it (lambdaFree, substFree, occursFree) agree with
+//     naive reference walks that do not.
 //
 // The generators are seeded PRNGs, so every run checks the same terms.
 //
@@ -118,6 +121,55 @@ void collectIds(const TermRef &T, std::set<uint64_t> &TermIds,
   if (T->isApp()) {
     collectIds(T->fun(), TermIds, Seen);
     collectIds(T->argTerm(), TermIds, Seen);
+  }
+}
+
+/// Reference walks for the free-name operations: no summaries, no sharing,
+/// every node rebuilt.
+TermRef naiveAbstract(const TermRef &T, const std::string &Name,
+                      unsigned Depth) {
+  switch (T->kind()) {
+  case Term::Kind::Free:
+    return T->name() == Name ? Term::mkBound(Depth) : T;
+  case Term::Kind::Bound:
+    return T->index() >= Depth ? Term::mkBound(T->index() + 1) : T;
+  case Term::Kind::Lam:
+    return Term::mkLam(T->name(), T->type(),
+                       naiveAbstract(T->body(), Name, Depth + 1));
+  case Term::Kind::App:
+    return Term::mkApp(naiveAbstract(T->fun(), Name, Depth),
+                       naiveAbstract(T->argTerm(), Name, Depth));
+  default:
+    return T;
+  }
+}
+
+TermRef naiveSubst(const TermRef &T, const std::string &Name,
+                   const TermRef &Repl) {
+  switch (T->kind()) {
+  case Term::Kind::Free:
+    return T->name() == Name ? Repl : T;
+  case Term::Kind::Lam:
+    return Term::mkLam(T->name(), T->type(),
+                       naiveSubst(T->body(), Name, liftLoose(Repl, 1)));
+  case Term::Kind::App:
+    return Term::mkApp(naiveSubst(T->fun(), Name, Repl),
+                       naiveSubst(T->argTerm(), Name, Repl));
+  default:
+    return T;
+  }
+}
+
+bool naiveOccurs(const TermRef &T, const std::string &Name) {
+  switch (T->kind()) {
+  case Term::Kind::Free:
+    return T->name() == Name;
+  case Term::Kind::Lam:
+    return naiveOccurs(T->body(), Name);
+  case Term::Kind::App:
+    return naiveOccurs(T->fun(), Name) || naiveOccurs(T->argTerm(), Name);
+  default:
+    return false;
   }
 }
 
@@ -262,4 +314,58 @@ TEST(HashCons, ConcurrentInternStress) {
       if (Nodes.insert(P.get()).second)
         ASSERT_TRUE(Ids.insert(P->id()).second)
             << "concurrently interned nodes share id " << P->id();
+}
+
+/// The free-name summary is sound: every name freeVars finds has its bit
+/// set on the root, and every bit set on the root belongs to one of them.
+TEST(HashCons, FreeMaskCoversFreeVars) {
+  Rng R(0xac5eed07);
+  for (int I = 0; I != 2000; ++I) {
+    TermRef T = randomTerm(R, 5);
+    uint64_t Expected = 0;
+    for (const std::string &N : freeVars(T))
+      Expected |= freeNameBit(N);
+    ASSERT_EQ(T->freeMask(), Expected) << "iteration " << I;
+  }
+}
+
+/// The walks that skip subterms by freeMask() build exactly what the
+/// naive rebuild-everything walks build. The names probed include ones
+/// the generator uses (x0..x3) and ones it never does, and the random
+/// replacements carry loose bounds so the lifting under binders and the
+/// shift of loose bounds past the new binder are both exercised.
+TEST(HashCons, MaskedWalksAgreeWithNaiveWalks) {
+  Rng R(0xac5eed08);
+  const char *Names[] = {"x0", "x1", "x2", "x3", "absent", "y"};
+  for (int I = 0; I != 2000; ++I) {
+    TermRef T = randomTerm(R, 5);
+    TermRef Repl = randomTerm(R, 2);
+    for (const char *N : Names) {
+      ASSERT_EQ(occursFree(T, N), naiveOccurs(T, N))
+          << "iteration " << I << " name " << N;
+      ASSERT_EQ(substFree(T, N, Repl).get(), naiveSubst(T, N, Repl).get())
+          << "iteration " << I << " name " << N;
+      ASSERT_EQ(lambdaFree(N, natTy(), T).get(),
+                Term::mkLam(N, natTy(), naiveAbstract(T, N, 0)).get())
+          << "iteration " << I << " name " << N;
+    }
+  }
+}
+
+/// Substituting a name that does not occur returns the very same node and
+/// interns nothing, however large the term — even when the name's bit
+/// collides with a name that does occur.
+TEST(HashCons, AbsentNameSubstIsFree) {
+  Rng R(0xac5eed09);
+  for (int I = 0; I != 500; ++I) {
+    TermRef T = randomTerm(R, 6);
+    // A replacement with a loose bound: lifting it under a binder would
+    // intern new nodes, so a walk that did not skip would show here.
+    TermRef Repl = Term::mkApp(Term::mkFree("r", natTy()),
+                               Term::mkBound(static_cast<unsigned>(I)));
+    size_t Before = internedTermCount();
+    TermRef Out = substFree(T, "absent", Repl);
+    ASSERT_EQ(Out.get(), T.get()) << "iteration " << I;
+    ASSERT_EQ(internedTermCount(), Before) << "iteration " << I;
+  }
 }

@@ -206,3 +206,134 @@ TEST(GuardDedup, ValidityWriteClearsAllGuardKnowledge) {
       << "non-data-only writes must clear the seen set; got:\n"
       << printTerm(Out);
 }
+
+//===----------------------------------------------------------------------===//
+// Budget neutrality: the step budget bounds rewriting, and every budget's
+// result is pinned. The strings were recorded before simplifyMonadTerm
+// memoised its walks over shared subterms, so any memo that let a
+// budget-starved call see a different result would show here.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A monadic program with a subterm shared twice and redexes of every
+/// rule family: return-bind, skip-bind, bind associativity, a guard with
+/// a True conjunct, a re-throwing catch handler, a literal condition and
+/// a repeated guard for the dedup pass.
+TermRef budgetPinProgram() {
+  TypeRef W = wordTy(32);
+  TermRef P = ptrFree("p");
+  TermRef X = Term::mkFree("x", W);
+  TermRef G = mkStateGuard(mkConj(mkTrue(), validRead(P)));
+  TermRef Gets = mkGets(stateTy(), W,
+                        Term::mkLam("s", stateTy(), heapRead(P)));
+  auto Free = [&](const char *N) { return Term::mkFree(N, W); };
+  auto Lam = [&](const char *N, TypeRef Ty, TermRef Body) {
+    return lambdaFree(N, std::move(Ty), std::move(Body));
+  };
+  // bind (return x) (λv. guard G; r <- gets s[p]; return (r + v))
+  TermRef Shared = mkBind(
+      mkReturn(stateTy(), W, X),
+      Lam("v", W,
+          mkBind(G, Lam("u", unitTy(),
+                        mkBind(Gets, Lam("r", W,
+                                         mkReturn(stateTy(), W,
+                                                  mkPlus(Free("r"),
+                                                         Free("v")))))))));
+  // bind (bind Shared (λa. skip; return a)) (λb. bind Shared (λc.
+  //   condition (λs. True) (return (b + c)) (throw x)))
+  TermRef First = mkBind(
+      Shared, Lam("a", W,
+                  mkBind(mkSkip(stateTy(), W),
+                         Lam("u", unitTy(),
+                             mkReturn(stateTy(), W, Free("a"))))));
+  TermRef Cond = mkCondition(
+      Term::mkLam("s", stateTy(), mkTrue()),
+      mkReturn(stateTy(), W, mkPlus(Free("b"), Free("c"))),
+      mkThrow(stateTy(), W, X));
+  TermRef Body = mkBind(
+      First, Lam("b", W, mkBind(Shared, Lam("c", W, Cond))));
+  // catch Body (λe. throw e)
+  return mkCatch(Body, Lam("e", W, mkThrow(stateTy(), W, Free("e"))));
+}
+
+} // namespace
+
+TEST(PeepholeBudget, EveryBudgetGivesItsPinnedResult) {
+  const std::pair<unsigned, const char *> Pins[] = {
+      {0, R"pin(catch
+  do b ← do a ← do v ← return x;
+           guard (λs. True ∧ is_valid_w32 s p);
+           r ← gets (λs. s[p]);
+           return (r +w v)
+        od;
+        skip;
+        return a
+     od;
+     c ← do v ← return x;
+        guard (λs. True ∧ is_valid_w32 s p);
+        r ← gets (λs. s[p]);
+        return (r +w v)
+     od;
+     condition (λs. True) (return (b +w c)) (throw x)
+  od
+  (λe. throw e))pin"},
+      {1, R"pin(catch
+  do b ← do a ← do v ← return x;
+           guard (λs. is_valid_w32 s p);
+           r ← gets (λs. s[p]);
+           return (r +w v)
+        od;
+        skip;
+        return a
+     od;
+     c ← do v ← return x;
+        guard (λs. True ∧ is_valid_w32 s p);
+        r ← gets (λs. s[p]);
+        return (r +w v)
+     od;
+     condition (λs. True) (return (b +w c)) (throw x)
+  od
+  (λe. throw e))pin"},
+      {2, R"pin(catch
+  do b ← do a ← do guard (λs. is_valid_w32 s p);
+           r ← gets (λs. s[p]);
+           return (r +w x)
+        od;
+        skip;
+        return a
+     od;
+     c ← do v ← return x;
+        guard (λs. True ∧ is_valid_w32 s p);
+        r ← gets (λs. s[p]);
+        return (r +w v)
+     od;
+     condition (λs. True) (return (b +w c)) (throw x)
+  od
+  (λe. throw e))pin"},
+      {3, R"pin(catch
+  do b ← do a ← do guard (λs. is_valid_w32 s p);
+           r ← gets (λs. s[p]);
+           return (r +w x)
+        od;
+        return a
+     od;
+     c ← do v ← return x;
+        guard (λs. True ∧ is_valid_w32 s p);
+        r ← gets (λs. s[p]);
+        return (r +w v)
+     od;
+     condition (λs. True) (return (b +w c)) (throw x)
+  od
+  (λe. throw e))pin"},
+      {10000, R"pin(do guard (λs. is_valid_w32 s p);
+   r ← gets (λs. s[p]);
+   r' ← gets (λs. s[p]);
+   return (r +w x +w (r' +w x))
+od)pin"},
+  };
+  TermRef In = budgetPinProgram();
+  for (const auto &[Budget, Expected] : Pins)
+    EXPECT_EQ(printTerm(monad::simplifyMonadTerm(In, Budget)), Expected)
+        << "budget " << Budget;
+}
