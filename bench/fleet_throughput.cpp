@@ -1,20 +1,20 @@
-//===- fleet_throughput.cpp - One acd + the remote cache tier under load ---===//
+//===- fleet_throughput.cpp - acd over a shared cache directory under load -===//
 //
-// Measures what the fleet's shared cache tier exists for: check
-// throughput after a restart (deploy) wipes a daemon's local memory and
-// disk tiers. The workload is a stream of *distinct* translation units
-// (a CI fleet checking many files), driven by dozens of concurrent
-// clients over TCP, with every response byte-compared against a
-// reference captured up front — zero correctness diffs is part of the
-// pass criterion, not an afterthought.
+// Measures what the shared cache directory exists for: check throughput
+// after a restart (deploy) wipes a daemon's memory tier. The workload is
+// a stream of *distinct* translation units (a CI fleet checking many
+// files), driven by dozens of concurrent clients over TCP, with every
+// response byte-compared against a reference captured up front — zero
+// correctness diffs is part of the pass criterion, not an afterthought.
 //
 // The headline comparison: a cold standalone daemon re-pays full
-// verification for every request, while the same daemon with
-// `--remote-cache` refills from a warm accached store. Both run the same
-// worker count, so the requests/sec ratio between them — the speedup
-// column — isolates the store; the acceptance floor is 5x. Per pass we
-// also report p50/p99 client latency, and for the remote pass the hit
-// rate the accached store observed.
+// verification for every request, while the same daemon restarted over
+// the directory an earlier daemon wrote through to refills from its
+// entry files. Both run the same worker count, so the requests/sec ratio
+// between them — the speedup column — isolates the directory; the
+// acceptance floor is 5x. Per pass we also report p50/p99 client
+// latency, and for the directory pass the hit rate its responses
+// reported.
 //
 // A second, overload-focused pass drives one deliberately small daemon
 // (tiny queue) at 4x saturation with a 3:1 bulk:interactive mix,
@@ -27,7 +27,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "cache/RemoteCache.h"
 #include "corpus/Synthetic.h"
 #include "service/CheckRunner.h"
 #include "service/Client.h"
@@ -93,6 +92,11 @@ Client dialTcp(const std::string &Addr) {
 struct PassResult {
   double Rps = 0, P50 = 0, P99 = 0;
   int Ok = 0, Diffs = 0, Requests = 0;
+  /// Per-function cache hits and lookups summed over the responses.
+  uint64_t Hits = 0, Lookups = 0;
+  double hitRate() const {
+    return Lookups ? static_cast<double>(Hits) / Lookups : 0.0;
+  }
 };
 
 PassResult drivePool(const std::vector<std::string> &Pool,
@@ -104,6 +108,7 @@ PassResult drivePool(const std::vector<std::string> &Pool,
   std::vector<std::thread> Ts;
   std::vector<std::vector<double>> Lat(Clients);
   std::atomic<int> Ok{0}, Diffs{0};
+  std::atomic<uint64_t> Hits{0}, Lookups{0};
   auto T0 = Clock::now();
   for (unsigned CI = 0; CI != Clients; ++CI)
     Ts.emplace_back([&, CI] {
@@ -121,6 +126,8 @@ PassResult drivePool(const std::vector<std::string> &Pool,
           continue;
         }
         ++Ok;
+        Hits += Resp.CacheHits;
+        Lookups += Resp.CacheHits + Resp.CacheMisses;
         if (CaptureRefs)
           (*CaptureRefs)[I] = snapshot(Resp);
         else if (snapshot(Resp) != Refs[I])
@@ -138,6 +145,8 @@ PassResult drivePool(const std::vector<std::string> &Pool,
   R.P99 = percentile(AllMs, 0.99);
   R.Ok = Ok.load();
   R.Diffs = Diffs.load();
+  R.Hits = Hits.load();
+  R.Lookups = Lookups.load();
   return R;
 }
 
@@ -166,24 +175,13 @@ int main() {
     Pool.push_back(corpus::generateSyntheticProgram(Spec));
   }
 
-  // The shared content-addressed store the daemons write through to —
-  // one accached, in-process, on a private Unix socket.
-  cache::RemoteCacheServerOptions CO;
-  CO.SocketPath = Root + "/accached.sock";
-  cache::RemoteCacheServer Cached(CO);
-  if (!Cached.start()) {
-    std::printf("cannot start accached on %s\n", CO.SocketPath.c_str());
-    return 1;
-  }
-
   // Every measured pass runs one daemon the way `acd --socket none
-  // --listen 127.0.0.1:0 --cache-dir D [--remote-cache ...]` does: TCP
-  // only, a fresh cache directory (cold memory + disk tiers, as after a
-  // restart), and the same worker count, so the passes differ only in
-  // whether the remote tier is attached.
+  // --listen 127.0.0.1:0 --cache-dir D` does: TCP only, a cold memory
+  // tier (as after a restart), and the same worker count, so the passes
+  // differ only in whether directory D is warm.
+  const std::string SharedDir = Root + "/shared";
   std::vector<std::string> Refs(PoolSize);
-  auto runPass = [&](const std::string &Name,
-                     cache::RemoteCacheClient *Remote,
+  auto runPass = [&](const std::string &Name, const std::string &CacheDir,
                      std::vector<std::string> *CaptureRefs,
                      PassResult &Out) {
     ServerOptions SO;
@@ -191,8 +189,7 @@ int main() {
     SO.ListenAddr = "127.0.0.1:0";
     SO.Workers = 2;
     SO.QueueCapacity = 32;
-    SO.CacheDir = Root + "/" + Name;
-    SO.Remote = Remote;
+    SO.CacheDir = CacheDir;
     Server Srv(SO);
     if (!Srv.start()) {
       std::printf("cannot start the %s daemon\n", Name.c_str());
@@ -205,18 +202,15 @@ int main() {
     return true;
   };
 
-  // Seed pass: a daemon with the remote tier attached computes the whole
-  // pool cold, write-through warming accached, and its responses become
-  // the byte-identity reference for every later pass.
+  // Seed pass: a daemon over the shared directory computes the whole
+  // pool cold, writing every entry through, and its responses become the
+  // byte-identity reference for every later pass.
   PassResult Seed;
-  {
-    cache::RemoteCacheClient Remote(CO.SocketPath);
-    if (!runPass("seed", &Remote, &Refs, Seed))
-      return 1;
-    if (Seed.Ok != static_cast<int>(PoolSize)) {
-      std::printf("seed pass failed: %d/%u ok\n", Seed.Ok, PoolSize);
-      return 1;
-    }
+  if (!runPass("seed", SharedDir, &Refs, Seed))
+    return 1;
+  if (Seed.Ok != static_cast<int>(PoolSize)) {
+    std::printf("seed pass failed: %d/%u ok\n", Seed.Ok, PoolSize);
+    return 1;
   }
   // Spot-check the reference against the in-process pipeline: the
   // daemon-served bytes and a local run must agree before we benchmark.
@@ -231,25 +225,17 @@ int main() {
     }
   }
 
-  // Baseline: a cold standalone daemon with no remote store recomputes
-  // everything.
+  // Baseline: a cold standalone daemon over an empty directory
+  // recomputes everything.
   PassResult Single;
-  if (!runPass("single", nullptr, nullptr, Single))
+  if (!runPass("single", Root + "/single", nullptr, Single))
     return 1;
 
-  // The same daemon, equally cold locally, refilling from the warm
-  // accached store.
-  PassResult Warm;
-  double HitRate = 0;
-  {
-    cache::RemoteCacheClient Remote(CO.SocketPath);
-    uint64_t Gets0 = Cached.store().gets(), Hits0 = Cached.store().hits();
-    if (!runPass("remote", &Remote, nullptr, Warm))
-      return 1;
-    uint64_t Gets = Cached.store().gets() - Gets0;
-    uint64_t Hits = Cached.store().hits() - Hits0;
-    HitRate = Gets ? static_cast<double>(Hits) / Gets : 0.0;
-  }
+  // The same daemon restarted over the directory the seed pass wrote
+  // through: cold memory, warm entry files.
+  PassResult Shared;
+  if (!runPass("shared", SharedDir, nullptr, Shared))
+    return 1;
 
   // Overload pass: the same warm pool against one deliberately small
   // daemon (2 workers, a 4-slot queue, per-tenant quotas on), first with
@@ -266,7 +252,6 @@ int main() {
     int Diffs = 0, StarvedTenants = 0;
   } Ov;
   {
-    cache::RemoteCacheClient Remote(CO.SocketPath);
     ServerOptions SO;
     SO.SocketPath = "";
     SO.ListenAddr = "127.0.0.1:0";
@@ -276,8 +261,7 @@ int main() {
     // Quotas on, sized so the paced interactive tenants never hit
     // them: the sheds this pass measures come from bulk staleness.
     SO.TenantQuotaRps = 2000;
-    SO.CacheDir = Root + "/overload";
-    SO.Remote = &Remote;
+    SO.CacheDir = SharedDir;
     Server Srv(SO);
     if (!Srv.start()) {
       std::printf("cannot start the overload daemon\n");
@@ -458,9 +442,7 @@ int main() {
     Srv.stop();
   }
 
-  Cached.stop();
-
-  double Speedup = Single.Rps > 0 ? Warm.Rps / Single.Rps : 0;
+  double Speedup = Single.Rps > 0 ? Shared.Rps / Single.Rps : 0;
   std::printf("fleet throughput (%u distinct sources, %u concurrent "
               "clients, post-restart pass, 2 workers)\n",
               PoolSize, Clients);
@@ -469,12 +451,12 @@ int main() {
               "cold standalone acd", Single.Rps, Single.P50, Single.P99,
               Single.Ok, Single.Requests);
   std::printf("  %-28s %8.1f req/s   p50 %7.2f ms   p99 %7.2f ms  "
-              "(%d/%d ok, remote hit rate %.2f)\n",
-              "acd + warm accached", Warm.Rps, Warm.P50, Warm.P99, Warm.Ok,
-              Warm.Requests, HitRate);
-  std::printf("  speedup from the store       %.1fx  (floor >= 5x)\n",
+              "(%d/%d ok, hit rate %.2f)\n",
+              "acd over warm shared dir", Shared.Rps, Shared.P50,
+              Shared.P99, Shared.Ok, Shared.Requests, Shared.hitRate());
+  std::printf("  speedup from the directory   %.1fx  (floor >= 5x)\n",
               Speedup);
-  int TotalDiffs = Single.Diffs + Warm.Diffs + Ov.Diffs;
+  int TotalDiffs = Single.Diffs + Shared.Diffs + Ov.Diffs;
   if (TotalDiffs)
     std::printf("  FAIL: %d correctness diffs against the reference\n",
                 TotalDiffs);
@@ -523,9 +505,9 @@ int main() {
   Out.set("workers", 2);
   Out.set("baseline", passJson(Single));
   {
-    Json R = passJson(Warm);
-    R.set("remote_hit_rate", HitRate);
-    Out.set("remote", std::move(R));
+    Json R = passJson(Shared);
+    R.set("hit_rate", Shared.hitRate());
+    Out.set("shared_dir", std::move(R));
   }
   Out.set("speedup", Speedup);
   Out.set("target_speedup", 5);

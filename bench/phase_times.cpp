@@ -41,14 +41,13 @@ const PhaseRow Rows[] = {
     {"cparser.sema", "semantic analysis"},
     {"simpl.translate", "SIMPL translation"},
     {"cache.fingerprint", "cache fingerprinting"},
-    {"cache.load", "cache load"},
     {"monad.l1", "L1 conversion"},
     {"monad.l2", "L2 lifting"},
     {"heapabs.fn", "heap abstraction"},
     {"wordabs.fn", "word abstraction"},
     {"monad.peephole", "peephole polish"},
     {"core.compose", "theorem composition"},
-    {"cache.save", "cache save"},
+    {"cache.save", "cache entry writes"},
 };
 
 /// Umbrella spans whose time is already split across the rows above;

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 #===- scripts/tier1.sh - Tier-1 verification ------------------------------===#
 #
-# The repo's tier-1 gate, in three passes:
+# The repo's tier-1 gate, in twelve passes:
 #
 #   1. Normal build + full ctest suite (ROADMAP.md's tier-1 command).
 #   2. ThreadSanitizer build (-DAC_SANITIZE=thread) of the concurrency
@@ -19,11 +19,12 @@
 #      cache tiers and a shared pool, exactly where lifetime bugs hide.
 #   5. Daemon golden round trip: start a real acd, serve every golden
 #      corpus through acc --golden, byte-compare against the checked-in
-#      fixtures (cold, then warm with asserted cache hits), then
-#      SIGTERM-drain and require a clean exit.
+#      fixtures (cold, then warm with asserted cache hits), require the
+#      entry files on disk while it runs, then SIGTERM-drain and require
+#      a clean exit.
 #   6. Chaos: the fault-injection suite under ASan (every registered
 #      site driven through failure and recovery), the AC_FAULTS env
-#      path (a cache write torn mid-save must recover byte-identically
+#      path (a cache entry torn mid-write must recover byte-identically
 #      on the next run, with a warning), and whole-process failure —
 #      kill -9 a live acd mid-request, require acc to degrade to an
 #      in-process run with the exact golden bytes, then a fresh acd
@@ -61,45 +62,45 @@
 #      noise the floor already absorbs — while enabled per-function
 #      export stays within AC_CERT_MAX_ENABLED_RATIO (default 2.0) of
 #      the disabled wall.
-#  10. Fleet: accached + one authenticated TCP-only acd writing through
-#      to it, on loopback. A wrong token must be refused with auth_failed
-#      (a check presenting it must not fall back to a local run); the
-#      golden corpora served over TCP must match the checked-in fixtures
-#      byte for byte; a SIGKILL of the acd mid-request must leave acc's
-#      in-process fallback with the exact golden bytes; restarting the
-#      acd on its port with a wiped cache directory must refill it from
-#      the remote tier (remote_hits > 0 in its stats) with byte-identical
-#      output; drain must stop both daemons cleanly. Unless --skip-perf,
-#      the fleet benchmark then runs and its BENCH_fleet.json must lint
-#      (aclint fleet) with >= 5x speedup of the acd + warm accached pass
-#      over the cold standalone acd and a >= 0.9 remote hit rate.
-#  11. Fleet soak: accached + one authenticated TCP acd (tenant quotas
-#      on), both real processes (ASan builds unless --skip-asan), under a
-#      seeded SIGKILL/restart schedule of accached — gaps and the request
-#      mix all derived from one pinned seed (AC_SOAK_SEED, default
-#      20260808, so a failing soak replays exactly). The load is
-#      bulk/interactive multi-tenant traffic via acc --priority/--tenant
-#      spread over three cache directories; the acd itself
-#      (--no-fallback) must answer every request with bytes identical to
-#      the checked-in goldens. Afterwards a corpus checked under two fresh
-#      cache directories must be a remote hit (the tier recovered), the
-#      daemon's Prometheus exposition must lint with the overload
-#      counters and every tenant's samples present, and both daemons
-#      must drain cleanly.
-#  12. Fleet observability: accached + one acd, both with --trace (live
-#      span buffers). One traced request against the cold acd must come
-#      back byte-identical; actrace must then pull both fragments and
-#      merge them into one trace that lints (aclint trace) and holds the
-#      fleet invariants (aclint fleettrace: one trace id, both processes,
-#      every parent span ref resolving). Both Prometheus expositions must
-#      lint, the acd's carrying its latency histograms, shard_id label
-#      and an exemplar naming the traced request. Unless --skip-perf, the
+#  10. Fleet: one authenticated TCP-only acd over a cache directory, on
+#      loopback. A wrong token must be refused with auth_failed (a check
+#      presenting it must not fall back to a local run); the golden
+#      corpora served over TCP must match the checked-in fixtures byte
+#      for byte, with their entry files on disk while the daemon runs; a
+#      SIGKILL of the acd mid-request must leave acc's in-process
+#      fallback with the exact golden bytes; an acd restarted on its
+#      port over the same directory must be refilled from the entry
+#      files (disk_hits > 0 in its stats) with byte-identical output;
+#      drain must stop it cleanly. Unless --skip-perf, the fleet
+#      benchmark then runs and its BENCH_fleet.json must lint (aclint
+#      fleet) with >= 5x speedup of the acd restarted over the warm
+#      shared directory over the cold standalone acd, a >= 0.9 hit rate
+#      and zero diffs.
+#  11. Soak: one authenticated TCP acd (tenant quotas on), a real
+#      process (an ASan build unless --skip-asan), under a seeded churn
+#      — SIGKILLs with same-port restarts between requests and damage to
+#      entry files (truncations, overwritten bytes) — with the request
+#      mix, kills and damage all derived from one pinned seed
+#      (AC_SOAK_SEED, default 20260808, so a failing soak replays
+#      exactly). The load is bulk/interactive multi-tenant traffic via
+#      acc --priority/--tenant; the acd itself (--no-fallback) must
+#      answer every request with bytes identical to the checked-in
+#      goldens. Afterwards, once the damage is healed, an acd SIGKILLed
+#      and restarted must serve every corpus from the directory, its
+#      Prometheus exposition must lint with the overload counters and
+#      every tenant's samples present, and it must drain cleanly.
+#  12. Observability of one TCP acd with --trace-dir: one traced request
+#      against the cold daemon must come back byte-identical, and its
+#      per-request trace must lint (aclint trace) with the request,
+#      queue-wait, pipeline and cache-write spans. The Prometheus
+#      exposition must lint, carrying its latency histograms and an
+#      exemplar naming the traced request. Unless --skip-perf, the
 #      tracing machinery's cost is then bounded on table5_scaling's
-#      seL4-scale row: the summed AutoCorres CPU with live tracing
-#      *enabled* must stay within 2% of the disabled run — and the
-#      disabled hot path (one relaxed atomic per span) is a strict
-#      subset of that cost, so the disabled-tracing regression is
-#      bounded by the same 2%.
+#      seL4-scale row: over six interleaved disabled/enabled pairs, the
+#      median per-pair ratio of enabled CPU (less 0.05 s) to disabled
+#      CPU must stay within 2% — and the disabled hot path (one relaxed
+#      atomic per span) is a strict subset of that cost, so the
+#      disabled-tracing regression is bounded by the same 2%.
 #
 # Every pass runs under a watchdog: if a single pass exceeds
 # AC_PASS_TIMEOUT seconds (default 900) the gate fails instead of
@@ -257,8 +258,14 @@ if ! grep -qE '"hits":[1-9]' <<<"$STATS"; then
   exit 1
 fi
 echo "daemon cache hits confirmed: $(grep -oE '"hits":[0-9]+' <<<"$STATS")"
-# Graceful drain: SIGTERM must finish in-flight work, flush the cache,
-# remove the socket and exit 0.
+# Write-through: the entries are on disk while the daemon still runs.
+if [[ -z "$(find "$ACD_DIR/cache" -type f -path '*/accache-v*/*' \
+    2>/dev/null | head -1)" ]]; then
+  echo "tier-1: FAILED — the running acd wrote no cache entry files." >&2
+  exit 1
+fi
+# Graceful drain: SIGTERM must finish in-flight work, remove the socket
+# and exit 0.
 kill -TERM "$ACD_PID"
 ACD_RC=0
 wait "$ACD_PID" || ACD_RC=$?
@@ -272,11 +279,7 @@ if [[ -e "$SOCK" ]]; then
   echo "tier-1: FAILED — acd left its socket file behind." >&2
   exit 1
 fi
-if ! ls "$ACD_DIR"/cache/accache-v*.txt >/dev/null 2>&1; then
-  echo "tier-1: FAILED — acd drain did not flush the cache to disk." >&2
-  exit 1
-fi
-echo "acd drained cleanly (socket removed, cache flushed)"
+echo "acd drained cleanly (entries written through, socket removed)"
 
 pass "tier-1 pass 6: chaos (fault injection + daemon kill)"
 # 6a. Every registered fault site, driven through failure and recovery.
@@ -289,10 +292,10 @@ else
   ./build-asan/tests/test_chaos
 fi
 
-# 6b. The AC_FAULTS environment path: tear the cache file mid-save (the
-#     state a power cut leaves), then prove the next run over the same
-#     cache directory warns, re-verifies the damaged tail, and still
-#     emits the exact golden bytes.
+# 6b. The AC_FAULTS environment path: tear a cache entry file mid-write
+#     (the state a power cut leaves), then prove the next run over the
+#     same cache directory warns, re-verifies the damaged entry, and
+#     still emits the exact golden bytes.
 CHAOS_DIR="$ACD_DIR/chaos"
 mkdir -p "$CHAOS_DIR"
 NOSOCK="$CHAOS_DIR/nobody-home.sock" # nothing listens: acc runs locally
@@ -300,7 +303,7 @@ AC_FAULTS=cache.save.crash:1 "$ACC" --socket "$NOSOCK" \
   --cache-dir "$CHAOS_DIR/cache" --corpus gcd --golden \
   >"$CHAOS_DIR/gcd.torn" 2>"$CHAOS_DIR/gcd.torn.err"
 if ! cmp -s "$CHAOS_DIR/gcd.torn" "tests/golden/gcd.expected"; then
-  echo "tier-1: FAILED — output of the run whose cache save was torn" \
+  echo "tier-1: FAILED — output of the run whose cache write was torn" \
        "diverged from tests/golden/gcd.expected." >&2
   exit 1
 fi
@@ -714,14 +717,12 @@ else
        "enabled ${WON}s within ${MAX_RATIO}x"
 fi
 
-pass "tier-1 pass 10: fleet (TCP auth, one acd + accached remote tier)"
-cmake --build build -j --target acd acc accached aclint fleet_throughput \
-  >/dev/null
+pass "tier-1 pass 10: fleet (TCP auth, one acd over a shared cache directory)"
+cmake --build build -j --target acd acc aclint fleet_throughput >/dev/null
 FLEET="$ACD_DIR/fleet"
 mkdir -p "$FLEET"
 TOK="$FLEET/token"
 echo "tier1-fleet-secret" >"$TOK"
-ACCACHED="build/tools/accached"
 FLEET_PIDS=()
 fleet_cleanup() {
   [[ ${#FLEET_PIDS[@]} -eq 0 ]] && return 0
@@ -747,29 +748,21 @@ wait_ping() { # acc endpoint args... -> polls until the daemon answers
   echo "tier-1: FAILED — no ping answer from $*" >&2
   return 1
 }
-remote_hits() { # port token-file -> the daemon's top-level remote_hits
+disk_hits() { # port token-file -> the daemon's top-level disk_hits
   "$ACC" --connect "127.0.0.1:$1" --auth-token-file "$2" --stats |
-    grep -o '"remote_hits":[0-9]*' | head -1 | cut -d: -f2
+    grep -o '"disk_hits":[0-9]*' | head -1 | cut -d: -f2
+}
+entry_files() { # cache-dir -> entry files under it, one per line, sorted
+  find "$1" -type f -path '*/accache-v*/*' ! -name '*.tmp.*' 2>/dev/null |
+    sort
 }
 
-# 10a. Boot: one accached and one authenticated TCP-only acd writing
-#      through to it.
-"$ACCACHED" --listen 127.0.0.1:0 --auth-token-file "$TOK" \
-  >"$FLEET/accached.log" 2>&1 &
-CACHED_PID=$!
-FLEET_PIDS+=("$CACHED_PID")
-CPORT="$(port_of "$FLEET/accached.log")"
-if [[ -z "$CPORT" ]]; then
-  echo "tier-1: FAILED — accached did not announce its port:" >&2
-  cat "$FLEET/accached.log" >&2
-  exit 1
-fi
+# 10a. Boot: one authenticated TCP-only acd over the shared directory.
 start_acd() { # name cache-dir listen-port(0=ephemeral); pid in $!
   "$ACD" --socket none --listen "127.0.0.1:$3" --auth-token-file "$TOK" \
-    --shard-id "$1" --cache-dir "$2" --remote-cache "127.0.0.1:$CPORT" \
-    --remote-token-file "$TOK" >"$FLEET/$1.log" 2>&1 &
+    --cache-dir "$2" >"$FLEET/$1.log" 2>&1 &
 }
-start_acd a1 "$FLEET/cache-a1" 0
+start_acd a1 "$FLEET/cache" 0
 A_PID=$!
 FLEET_PIDS+=("$A_PID")
 APORT="$(port_of "$FLEET/a1.log")"
@@ -813,14 +806,15 @@ for c in max gcd swap midpoint reverse; do
     exit 1
   fi
 done
-# Write-through must have populated the shared store.
-CSTATS="$("$ACC" --connect "127.0.0.1:$CPORT" --auth-token-file "$TOK" \
-  --stats)"
-if ! grep -qE '"puts":[1-9]' <<<"$CSTATS"; then
-  echo "tier-1: FAILED — accached saw no write-through puts: $CSTATS" >&2
+# Write-through: every computed entry is on disk while the daemon still
+# runs — nothing waits for a drain.
+NENTRIES="$(entry_files "$FLEET/cache" | wc -l)"
+if [[ "$NENTRIES" -lt 5 ]]; then
+  echo "tier-1: FAILED — the running acd wrote $NENTRIES entry files" \
+       "(want >= 5, one per corpus)." >&2
   exit 1
 fi
-echo "golden corpora byte-identical over TCP; store populated"
+echo "golden corpora byte-identical over TCP; $NENTRIES entries on disk"
 
 # 10c. SIGKILL the acd mid-request: acc must degrade to an in-process run
 #      with the exact golden bytes — the same fallback contract as the
@@ -846,45 +840,43 @@ if ! grep -q 'falling back' "$FLEET/max.killed.err"; then
 fi
 echo "acd SIGKILL mid-request: TCP client fell back byte-identically"
 
-# 10d. Cold restart: the acd comes back on its old port with a wiped
-#      cache directory, and the replay must be served out of the remote
-#      tier — refilled from accached, not recomputed.
-start_acd a1-cold "$FLEET/cache-a1-cold" "$APORT"
+# 10d. Restart after the SIGKILL: a fresh acd on the old port over the
+#      same directory starts with a cold memory tier, and the replay must
+#      be served from the entry files the killed daemon wrote — a
+#      drain-time save could never give this.
+start_acd a1-restart "$FLEET/cache" "$APORT"
 A_PID=$!
 FLEET_PIDS+=("$A_PID")
 if ! wait_ping "${FLEETC[@]}"; then
-  cat "$FLEET/a1-cold.log" >&2
+  cat "$FLEET/a1-restart.log" >&2
   exit 1
 fi
 for c in max gcd swap midpoint reverse; do
   "$ACC" "${FLEETC[@]}" --no-fallback --corpus "$c" --golden \
-    >"$FLEET/$c.cold"
-  if ! cmp -s "$FLEET/$c.cold" "tests/golden/$c.expected"; then
-    echo "tier-1: FAILED — the cold-restarted acd diverged on $c." >&2
+    >"$FLEET/$c.restart"
+  if ! cmp -s "$FLEET/$c.restart" "tests/golden/$c.expected"; then
+    echo "tier-1: FAILED — the restarted acd diverged on $c." >&2
     exit 1
   fi
 done
-RHITS="$(remote_hits "$APORT" "$TOK")"
-if [[ "${RHITS:-0}" -eq 0 ]]; then
-  echo "tier-1: FAILED — the cold acd served the corpora without a" \
-       "single remote-tier hit." >&2
+DHITS="$(disk_hits "$APORT" "$TOK")"
+if [[ "${DHITS:-0}" -eq 0 ]]; then
+  echo "tier-1: FAILED — the acd restarted after a SIGKILL served the" \
+       "corpora without a single disk hit." >&2
   exit 1
 fi
-echo "cold restart refilled from the remote tier ($RHITS hits)"
+echo "restart after SIGKILL refilled from the directory ($DHITS disk hits)"
 
-# 10e. Drain: the acd on request, then the store, both exiting 0.
+# 10e. Drain on request, exiting 0.
 "$ACC" "${FLEETC[@]}" --drain >/dev/null
-kill -TERM "$CACHED_PID"
-for pid in "$A_PID" "$CACHED_PID"; do
-  RC=0
-  wait "$pid" || RC=$?
-  if [[ "$RC" != 0 ]]; then
-    echo "tier-1: FAILED — a fleet daemon exited $RC on drain." >&2
-    exit 1
-  fi
-done
+RC=0
+wait "$A_PID" || RC=$?
+if [[ "$RC" != 0 ]]; then
+  echo "tier-1: FAILED — the acd exited $RC on drain." >&2
+  exit 1
+fi
 FLEET_PIDS=()
-echo "fleet drained cleanly (acd, accached)"
+echo "acd drained cleanly"
 
 # 10f. The fleet benchmark and its artifact lint. Machine-dependent like
 #      pass 8, so --skip-perf skips it.
@@ -897,7 +889,7 @@ else
     tail -10 "$FLEET/bench.log" >&2
     exit 1
   }
-  tail -9 "$FLEET/bench.log" | head -8
+  tail -8 "$FLEET/bench.log" | head -7
   if ! "$ACLINT" fleet "$FLEET/BENCH_fleet.json" --min-speedup 5 \
       --min-hit-rate 0.9; then
     echo "tier-1: FAILED — BENCH_fleet.json did not lint." >&2
@@ -906,19 +898,18 @@ else
   echo "fleet benchmark held its floor and its artifact linted"
 fi
 
-pass "tier-1 pass 11: fleet soak (seeded accached SIGKILL churn, priorities + tenants)"
+pass "tier-1 pass 11: soak (seeded acd SIGKILL + entry damage churn, priorities + tenants)"
 SOAK_SEED="${AC_SOAK_SEED:-20260808}"
 if [[ "$SKIP_ASAN" == 1 ]]; then
   SOAK_BUILD=build
-  cmake --build build -j --target acd acc accached aclint >/dev/null
+  cmake --build build -j --target acd acc aclint >/dev/null
 else
   SOAK_BUILD=build-asan
-  cmake --build build-asan -j --target acd acc accached >/dev/null
+  cmake --build build-asan -j --target acd acc >/dev/null
   cmake --build build -j --target aclint >/dev/null
 fi
 SACD="$SOAK_BUILD/tools/acd"
 SACC="$SOAK_BUILD/tools/acc"
-SACCACHED="$SOAK_BUILD/tools/accached"
 SOAK="$ACD_DIR/soak"
 mkdir -p "$SOAK"
 STOK="$SOAK/token"
@@ -927,9 +918,9 @@ echo "tier1-soak-secret" >"$STOK"
 # SIGKILL/exit is noise here, not signal.
 export ASAN_OPTIONS="detect_leaks=0"
 
-# The whole schedule — request mix, churn gaps — derives from one pinned
-# seed through a plain LCG, so a failing soak replays exactly with
-# AC_SOAK_SEED.
+# The whole schedule — request mix, kills, damage — derives from one
+# pinned seed through a plain LCG, so a failing soak replays exactly
+# with AC_SOAK_SEED.
 mapfile -t RAND < <(awk -v s="$SOAK_SEED" 'BEGIN {
   for (i = 0; i < 64; i++) {
     s = (s * 1103515245 + 12345) % 2147483648
@@ -938,115 +929,129 @@ mapfile -t RAND < <(awk -v s="$SOAK_SEED" 'BEGIN {
 }')
 echo "soak seed $SOAK_SEED"
 
-# 11a. Boot: accached and one quota-enabled acd over it.
-start_soak_cached() { # listen-port(0=ephemeral) log; pid in $!
-  "$SACCACHED" --listen "127.0.0.1:$1" --auth-token-file "$STOK" \
-    >"$SOAK/$2" 2>&1 &
+# 11a. Boot: one quota-enabled acd over the soak directory. Every
+#      restart binds the same port over the same directory.
+SOAK_BOOTS=0
+start_soak_acd() { # listen-port(0=ephemeral); pid in SA_PID
+  SOAK_BOOTS=$(( SOAK_BOOTS + 1 ))
+  "$SACD" --socket none --listen "127.0.0.1:$1" --auth-token-file "$STOK" \
+    --cache-dir "$SOAK/cache" --tenant-quota-rps 200 \
+    >"$SOAK/acd-$SOAK_BOOTS.log" 2>&1 &
+  SA_PID=$!
+  FLEET_PIDS+=("$SA_PID")
 }
-start_soak_cached 0 accached.log
-SC_PID=$!
-FLEET_PIDS+=("$SC_PID")
-SCPORT="$(port_of "$SOAK/accached.log")"
-if [[ -z "$SCPORT" ]]; then
-  echo "tier-1: FAILED — soak accached did not announce its port:" >&2
-  cat "$SOAK/accached.log" >&2
-  exit 1
-fi
-"$SACD" --socket none --listen 127.0.0.1:0 --auth-token-file "$STOK" \
-  --shard-id soak --cache-dir "$SOAK/cache" \
-  --remote-cache "127.0.0.1:$SCPORT" --remote-token-file "$STOK" \
-  --tenant-quota-rps 200 >"$SOAK/acd.log" 2>&1 &
-SA_PID=$!
-FLEET_PIDS+=("$SA_PID")
-SAPORT="$(port_of "$SOAK/acd.log")"
+start_soak_acd 0
+SAPORT="$(port_of "$SOAK/acd-1.log")"
 if [[ -z "$SAPORT" ]]; then
   echo "tier-1: FAILED — soak acd did not announce its port:" >&2
-  cat "$SOAK/acd.log" >&2
+  cat "$SOAK/acd-1.log" >&2
   exit 1
 fi
 SOAKC=(--connect "127.0.0.1:$SAPORT" --auth-token-file "$STOK")
 wait_ping "${SOAKC[@]}"
+kill_restart_soak_acd() {
+  kill -KILL "$SA_PID" 2>/dev/null || true
+  wait "$SA_PID" 2>/dev/null || true
+  start_soak_acd "$SAPORT"
+  if ! wait_ping "${SOAKC[@]}"; then
+    cat "$SOAK/acd-$SOAK_BOOTS.log" >&2
+    exit 1
+  fi
+}
+damage_entry() { # seed-value -> truncates or overwrites one entry file
+  mapfile -t FILES < <(entry_files "$SOAK/cache")
+  [[ ${#FILES[@]} -eq 0 ]] && return 0
+  local f="${FILES[$(( $1 % ${#FILES[@]} ))]}"
+  local size
+  size="$(stat -c %s "$f")"
+  if (( $1 % 2 )); then
+    truncate -s "$(( size / 2 ))" "$f"
+  else
+    printf '#' | dd of="$f" bs=1 seek="$(( ($1 / 2) % size ))" \
+      conv=notrunc status=none
+  fi
+  echo "  damaged $(basename "$(dirname "$f")")/$(basename "$f")"
+}
 
 # 11b. The load: 40 requests, 3:1 bulk:interactive, three tenants, the
-#      corpus/tenant/cache-directory picks seeded. Each cache directory
-#      is its own memory + disk tier in front of the store, so first
-#      touches keep consulting accached while it churns. The contract is
-#      strict: the daemon itself (--no-fallback) answers every request
-#      with the exact golden bytes — a SIGKILLed store costs a
-#      recompute, never an error and never a byte.
+#      corpus/tenant picks seeded. Between requests the seeded churn
+#      SIGKILLs the acd and restarts it on the same port, and damages
+#      entry files under it. The contract is strict: the acd itself
+#      (--no-fallback) answers every request with the exact golden bytes
+#      — a kill or a damaged entry costs a recompute, never an error and
+#      never a byte.
 SOAK_CORPORA=(max gcd swap midpoint reverse)
 SOAK_TENANTS=(t0 t1 t2)
-(
-  rc=0
-  for i in $(seq 0 39); do
-    r="${RAND[$(( i % 64 ))]}"
-    c="${SOAK_CORPORA[$(( (r + i) % 5 ))]}"
-    t="${SOAK_TENANTS[$(( (r / 5 + i) % 3 ))]}"
-    d="$SOAK/tier$(( (r / 15 + i) % 3 ))"
-    prio=bulk
-    [[ $(( i % 4 )) -eq 0 ]] && prio=interactive
-    out="$SOAK/req-$i.out"
-    if ! "$SACC" "${SOAKC[@]}" --no-fallback --priority "$prio" \
-        --tenant "$t" --cache-dir "$d" --trace-id "soak-$i" --corpus "$c" \
-        --golden >"$out" 2>>"$SOAK/load.err"; then
-      echo "soak request $i ($c, $prio, tenant $t) failed" >>"$SOAK/load.err"
-      rc=1
-    elif ! cmp -s "$out" "tests/golden/$c.expected"; then
-      echo "soak request $i ($c, $prio, tenant $t) diverged from golden" \
-        >>"$SOAK/load.err"
-      rc=1
-    fi
-  done
-  echo "$rc" >"$SOAK/load.rc"
-) &
-LOAD_PID=$!
-
-# 11c. The churn: three seeded rounds of accached SIGKILL + same-port
-#      restart (with an empty store).
-for round in 0 1 2; do
-  g1=$(( 150 + ${RAND[$(( 40 + round * 2 ))]} % 300 ))
-  g2=$(( 100 + ${RAND[$(( 41 + round * 2 ))]} % 200 ))
-  sleep "$(awk -v m="$g2" 'BEGIN { printf "%.3f", m / 1000 }')"
-  kill -KILL "$SC_PID" 2>/dev/null || true
-  sleep "$(awk -v m="$g1" 'BEGIN { printf "%.3f", m / 1000 }')"
-  start_soak_cached "$SCPORT" "accached-restart$round.log"
-  SC_PID=$!
-  FLEET_PIDS+=("$SC_PID")
-done
-LOAD_JOIN_RC=0
-wait "$LOAD_PID" || LOAD_JOIN_RC=$?
-LOAD_RC="$(cat "$SOAK/load.rc" 2>/dev/null || echo 1)"
-if [[ "$LOAD_JOIN_RC" != 0 || "$LOAD_RC" != 0 ]]; then
-  echo "tier-1: FAILED — soak load lost requests or bytes under churn" \
-       "(AC_SOAK_SEED=$SOAK_SEED replays this schedule):" >&2
-  cat "$SOAK/load.err" >&2 || true
-  tail -20 "$SOAK/acd.log" >&2
-  exit 1
-fi
-echo "40 soak requests all served by acd, byte-identical under seeded churn"
-
-# 11d. The store is back: a corpus checked under two fresh cache
-#      directories must be a remote hit the second time — the daemon's
-#      tier re-dialed the restarted accached.
-wait_ping --connect "127.0.0.1:$SCPORT" --auth-token-file "$STOK"
-HITS0="$(remote_hits "$SAPORT" "$STOK")"
-for d in probe-a probe-b; do
-  "$SACC" "${SOAKC[@]}" --no-fallback --cache-dir "$SOAK/$d" --corpus gcd \
-    --golden >"$SOAK/$d.out"
-  if ! cmp -s "$SOAK/$d.out" "tests/golden/gcd.expected"; then
-    echo "tier-1: FAILED — post-churn probe $d diverged from golden." >&2
+KILLS=0
+for i in $(seq 0 39); do
+  r="${RAND[$(( i % 64 ))]}"
+  if (( i > 0 && r % 7 == 0 )); then
+    damage_entry "$r"
+  fi
+  if (( i > 0 && r % 5 == 0 )); then
+    kill_restart_soak_acd
+    KILLS=$(( KILLS + 1 ))
+  fi
+  c="${SOAK_CORPORA[$(( (r + i) % 5 ))]}"
+  t="${SOAK_TENANTS[$(( (r / 5 + i) % 3 ))]}"
+  prio=bulk
+  [[ $(( i % 4 )) -eq 0 ]] && prio=interactive
+  out="$SOAK/req-$i.out"
+  if ! "$SACC" "${SOAKC[@]}" --no-fallback --priority "$prio" \
+      --tenant "$t" --trace-id "soak-$i" --corpus "$c" \
+      --golden >"$out" 2>>"$SOAK/load.err"; then
+    echo "tier-1: FAILED — soak request $i ($c, $prio, tenant $t) got no" \
+         "answer (AC_SOAK_SEED=$SOAK_SEED replays this schedule):" >&2
+    cat "$SOAK/load.err" >&2
+    tail -20 "$SOAK/acd-$SOAK_BOOTS.log" >&2
+    exit 1
+  fi
+  if ! cmp -s "$out" "tests/golden/$c.expected"; then
+    echo "tier-1: FAILED — soak request $i ($c, $prio, tenant $t)" \
+         "diverged from golden (AC_SOAK_SEED=$SOAK_SEED)." >&2
     exit 1
   fi
 done
-HITS1="$(remote_hits "$SAPORT" "$STOK")"
-if [[ "${HITS1:-0}" -le "${HITS0:-0}" ]]; then
-  echo "tier-1: FAILED — the remote tier served no hit after the churn" \
-       "(remote_hits $HITS0 -> $HITS1)." >&2
+if [[ "$KILLS" -lt 2 ]]; then
+  echo "tier-1: FAILED — seed $SOAK_SEED scheduled only $KILLS acd kills;" \
+       "the soak needs churn." >&2
   exit 1
 fi
-echo "remote tier recovered after the churn (remote_hits $HITS0 -> $HITS1)"
+echo "40 soak requests byte-identical across $KILLS acd SIGKILL/restarts"
 
-# 11e. The overload counters and the per-tenant ledger survived into the
+# 11c. Recovery after a SIGKILL: one round heals whatever the churn left
+#      damaged, then a second kill + restart must serve every corpus from
+#      the directory (disk_hits == 5, one entry each).
+kill_restart_soak_acd
+for c in "${SOAK_CORPORA[@]}"; do
+  "$SACC" "${SOAKC[@]}" --no-fallback --corpus "$c" --golden \
+    >"$SOAK/heal-$c.out"
+  cmp -s "$SOAK/heal-$c.out" "tests/golden/$c.expected" || {
+    echo "tier-1: FAILED — post-churn $c diverged from golden." >&2
+    exit 1
+  }
+done
+kill_restart_soak_acd
+i=0
+for c in "${SOAK_CORPORA[@]}"; do
+  t="${SOAK_TENANTS[$(( i % 3 ))]}"
+  i=$(( i + 1 ))
+  "$SACC" "${SOAKC[@]}" --no-fallback --tenant "$t" --corpus "$c" \
+    --golden >"$SOAK/probe-$c.out"
+  if ! cmp -s "$SOAK/probe-$c.out" "tests/golden/$c.expected"; then
+    echo "tier-1: FAILED — post-restart probe $c diverged from golden." >&2
+    exit 1
+  fi
+done
+DHITS="$(disk_hits "$SAPORT" "$STOK")"
+if [[ "${DHITS:-0}" -ne 5 ]]; then
+  echo "tier-1: FAILED — after a SIGKILL the restarted acd served" \
+       "${DHITS:-0}/5 corpora from the directory." >&2
+  exit 1
+fi
+echo "restarted acd served all 5 corpora from the directory after SIGKILL"
+
+# 11d. The overload counters and the per-tenant ledger are in the
 #      daemon's exposition.
 "$SACC" "${SOAKC[@]}" --metrics >"$SOAK/metrics.txt"
 if ! "$ACLINT" metrics "$SOAK/metrics.txt" \
@@ -1058,7 +1063,7 @@ if ! "$ACLINT" metrics "$SOAK/metrics.txt" \
   exit 1
 fi
 for t in "${SOAK_TENANTS[@]}"; do
-  if ! grep -q "^acd_tenant_admitted_total{.*tenant=\"$t\"" \
+  if ! grep -q "^acd_tenant_admitted_total{tenant=\"$t\"" \
       "$SOAK/metrics.txt"; then
     echo "tier-1: FAILED — tenant $t missing from the exposition." >&2
     exit 1
@@ -1066,60 +1071,43 @@ for t in "${SOAK_TENANTS[@]}"; do
 done
 echo "overload counters present; every tenant in the ledger"
 
-# 11f. Drain: the acd on request, then the store, both exit 0.
+# 11e. Drain on request, exiting 0.
 "$SACC" "${SOAKC[@]}" --drain >/dev/null
-kill -TERM "$SC_PID"
-for pid in "$SA_PID" "$SC_PID"; do
-  RC=0
-  wait "$pid" || RC=$?
-  if [[ "$RC" != 0 ]]; then
-    echo "tier-1: FAILED — a soak daemon exited $RC on drain." >&2
-    exit 1
-  fi
-done
+RC=0
+wait "$SA_PID" || RC=$?
+if [[ "$RC" != 0 ]]; then
+  echo "tier-1: FAILED — the soak acd exited $RC on drain." >&2
+  exit 1
+fi
 FLEET_PIDS=()
 unset ASAN_OPTIONS
-echo "soak daemons drained cleanly (acd, accached)"
+echo "soak acd drained cleanly"
 
-pass "tier-1 pass 12: fleet observability (trace merge, metrics)"
-cmake --build build -j --target acd acc accached actrace aclint \
-  table5_scaling >/dev/null
-ACTRACE="build/tools/actrace"
+pass "tier-1 pass 12: observability of one TCP acd (request trace, metrics)"
+cmake --build build -j --target acd acc aclint table5_scaling >/dev/null
 OBSF="$ACD_DIR/obsfleet"
 mkdir -p "$OBSF"
 OTOK="$OBSF/token"
 echo "tier1-obs-secret" >"$OTOK"
 
-# 12a. Boot a traced pair: accached + one acd, both with --trace so spans
-#      accumulate in-process for trace_pull.
-"$ACCACHED" --listen 127.0.0.1:0 --auth-token-file "$OTOK" --trace \
-  >"$OBSF/accached.log" 2>&1 &
-OC_PID=$!
-FLEET_PIDS+=("$OC_PID")
-OCPORT="$(port_of "$OBSF/accached.log")"
-if [[ -z "$OCPORT" ]]; then
-  echo "tier-1: FAILED — traced accached did not announce its port:" >&2
-  cat "$OBSF/accached.log" >&2
-  exit 1
-fi
+# 12a. Boot one traced acd: every request flushes its spans to
+#      <trace-dir>/<trace_id>.json.
 "$ACD" --socket none --listen 127.0.0.1:0 --auth-token-file "$OTOK" \
-  --shard-id obs0 --cache-dir "$OBSF/cache-obs0" \
-  --remote-cache "127.0.0.1:$OCPORT" --remote-token-file "$OTOK" \
-  --trace >"$OBSF/obs0.log" 2>&1 &
+  --cache-dir "$OBSF/cache" --trace-dir "$OBSF/traces" \
+  >"$OBSF/obs.log" 2>&1 &
 OA_PID=$!
 FLEET_PIDS+=("$OA_PID")
-OAPORT="$(port_of "$OBSF/obs0.log")"
+OAPORT="$(port_of "$OBSF/obs.log")"
 if [[ -z "$OAPORT" ]]; then
   echo "tier-1: FAILED — traced acd did not announce its port:" >&2
-  cat "$OBSF/obs0.log" >&2
+  cat "$OBSF/obs.log" >&2
   exit 1
 fi
 OBSC=(--connect "127.0.0.1:$OAPORT" --auth-token-file "$OTOK")
 wait_ping "${OBSC[@]}"
 
-# 12b. One traced request against the cold daemon: every function misses
-#      locally, so the acd's remote.get/put spans and the store's
-#      accached.get/put spans all carry its trace id — and
+# 12b. One traced request against the cold daemon: every function
+#      misses, so the request's trace carries its cache writes — and
 #      observability must not move a byte.
 "$ACC" "${OBSC[@]}" --no-fallback --trace-id fleet-trace-1 \
   --corpus gcd --golden >"$OBSF/gcd.traced"
@@ -1128,33 +1116,21 @@ if ! cmp -s "$OBSF/gcd.traced" "tests/golden/gcd.expected"; then
   diff "tests/golden/gcd.expected" "$OBSF/gcd.traced" | head >&2
   exit 1
 fi
+TRACE="$OBSF/traces/fleet-trace-1.json"
+for _ in $(seq 50); do
+  [[ -s "$TRACE" ]] && break
+  sleep 0.1
+done
+if ! "$ACLINT" trace "$TRACE" --require-span acd.request \
+    --require-span acd.queue_wait --require-span core.fn \
+    --require-span cache.save; then
+  echo "tier-1: FAILED — the acd's per-request trace did not lint." >&2
+  exit 1
+fi
+echo "per-request trace linted (request, queue wait, pipeline, cache write)"
 
-# 12c. actrace: pull both members' fragments (trace_pull drains
-#      exactly-once) and merge. The merged trace must lint structurally
-#      and hold the fleet invariants: one trace id, spans from both
-#      processes, every parent span reference resolving.
-if ! "$ACTRACE" --out "$OBSF/merged.json" --auth-token-file "$OTOK" \
-    "127.0.0.1:$OAPORT" "127.0.0.1:$OCPORT" 2>"$OBSF/actrace.err"; then
-  echo "tier-1: FAILED — actrace could not pull + merge acd + accached:" >&2
-  cat "$OBSF/actrace.err" >&2
-  exit 1
-fi
-if ! "$ACLINT" trace "$OBSF/merged.json" --require-span acd.request \
-    --require-span remote.get --require-span accached.get; then
-  echo "tier-1: FAILED — merged fleet trace did not lint." >&2
-  exit 1
-fi
-if ! "$ACLINT" fleettrace "$OBSF/merged.json" --min-pids 2 \
-    --expect-trace-id fleet-trace-1; then
-  echo "tier-1: FAILED — merged trace broke a fleet invariant (one" \
-       "trace id / both pids / parent refs)." >&2
-  exit 1
-fi
-echo "merged fleet trace linted: one trace id across acd + accached"
-
-# 12d. Metrics: the acd's exposition is lint-clean and carries the
-#      latency histograms, its shard_id label and an exemplar trace id;
-#      the store's exposition lints too.
+# 12c. Metrics: the exposition is lint-clean and carries the latency
+#      histograms and an exemplar naming the traced request.
 "$ACC" "${OBSC[@]}" --metrics >"$OBSF/acd-metrics.txt"
 if ! "$ACLINT" metrics "$OBSF/acd-metrics.txt" \
     --require acd_request_duration_seconds \
@@ -1163,40 +1139,35 @@ if ! "$ACLINT" metrics "$OBSF/acd-metrics.txt" \
   echo "tier-1: FAILED — acd metrics exposition did not lint." >&2
   exit 1
 fi
-for want in 'shard_id="obs0"' ' # {trace_id="fleet-trace-1"'; do
-  if ! grep -qF "$want" "$OBSF/acd-metrics.txt"; then
-    echo "tier-1: FAILED — acd metrics are missing $want" >&2
-    exit 1
-  fi
-done
-"$ACC" --connect "127.0.0.1:$OCPORT" --auth-token-file "$OTOK" --metrics \
-  >"$OBSF/accached-metrics.txt"
-if ! "$ACLINT" metrics "$OBSF/accached-metrics.txt"; then
-  echo "tier-1: FAILED — accached metrics exposition did not lint." >&2
+if ! grep -qF ' # {trace_id="fleet-trace-1"' "$OBSF/acd-metrics.txt"; then
+  echo "tier-1: FAILED — acd metrics carry no exemplar for the traced" \
+       "request." >&2
   exit 1
 fi
-echo "acd and accached expositions linted; exemplar names the trace"
+echo "acd exposition linted; exemplar names the trace"
 
-# 12e. Drain the traced pair cleanly.
+# 12d. Drain the traced acd cleanly.
 "$ACC" "${OBSC[@]}" --drain >/dev/null
-kill -TERM "$OC_PID"
-for pid in "$OA_PID" "$OC_PID"; do
-  RC=0
-  wait "$pid" || RC=$?
-  if [[ "$RC" != 0 ]]; then
-    echo "tier-1: FAILED — a traced daemon exited $RC on drain." >&2
-    exit 1
-  fi
-done
+RC=0
+wait "$OA_PID" || RC=$?
+if [[ "$RC" != 0 ]]; then
+  echo "tier-1: FAILED — the traced acd exited $RC on drain." >&2
+  exit 1
+fi
 FLEET_PIDS=()
-echo "traced pair drained cleanly"
+echo "traced acd drained cleanly"
 
-# 12f. Tracing cost bound on table5_scaling's seL4-scale row (summed
+# 12e. Tracing cost bound on table5_scaling's seL4-scale row (summed
 #      AutoCorres CPU, the least noisy column). Live tracing *enabled*
-#      must stay within 2% of the disabled run; the disabled hot path
-#      (one relaxed atomic per span) is a strict subset of that cost,
-#      so the disabled-tracing regression is bounded by the same 2%.
-#      Interleaved best-of-two on each side to absorb scheduler noise.
+#      must stay within 2% (+0.05 s) of the disabled run; the disabled
+#      hot path (one relaxed atomic per span) is a strict subset of that
+#      cost, so the disabled-tracing regression is bounded by the same
+#      2%. One run of either kind swings by tens of percent on a shared
+#      host, and the second run of a back-to-back pair tends to read
+#      slower than the first, so the gate takes six interleaved off/on
+#      pairs, each pair run back to back with the order alternating (three
+#      pairs each way), and bounds the median of the per-pair ratios
+#      (on - 0.05 s) / off — the mean of the middle two.
 if [[ "$SKIP_PERF" == 1 ]]; then
   echo "(tracing-overhead gate skipped via --skip-perf)"
 else
@@ -1209,26 +1180,34 @@ else
     fi
     awk '/^seL4-scale/ { print $6; exit }' <<<"$out"
   }
-  OFF1="$(t5cpu "")"
-  ON1="$(t5cpu "$OBSF/t5.trace.json")"
-  OFF2="$(t5cpu "")"
-  ON2="$(t5cpu "$OBSF/t5.trace.json")"
-  if [[ -z "$OFF1" || -z "$ON1" || -z "$OFF2" || -z "$ON2" ]]; then
-    echo "tier-1: FAILED — could not read table5_scaling seL4 CPU" \
-         "(got off='$OFF1'/'$OFF2' on='$ON1'/'$ON2')." >&2
-    exit 1
-  fi
-  if ! awk -v a1="$OFF1" -v a2="$OFF2" -v b1="$ON1" -v b2="$ON2" 'BEGIN {
-      off = (a1 < a2) ? a1 : a2
-      on = (b1 < b2) ? b1 : b2
-      exit !(off > 0 && on <= off * 1.02 + 0.05)
-    }'; then
+  RATIOS=()
+  for pair in 1 2 3 4 5 6; do
+    if (( pair % 2 )); then
+      OFF="$(t5cpu "")"
+      ON="$(t5cpu "$OBSF/t5.trace.json")"
+    else
+      ON="$(t5cpu "$OBSF/t5.trace.json")"
+      OFF="$(t5cpu "")"
+    fi
+    if [[ -z "$OFF" || -z "$ON" ]]; then
+      echo "tier-1: FAILED — could not read table5_scaling seL4 CPU" \
+           "(pair $pair: off='$OFF' on='$ON')." >&2
+      exit 1
+    fi
+    R="$(awk -v off="$OFF" -v on="$ON" \
+      'BEGIN { printf "%.4f", (off > 0) ? (on - 0.05) / off : 99 }')"
+    echo "  tracing pair $pair: disabled ${OFF}s, enabled ${ON}s," \
+         "ratio (on - 0.05) / off = $R"
+    RATIOS+=("$R")
+  done
+  MEDIAN="$(printf '%s\n' "${RATIOS[@]}" | sort -g |
+    awk 'NR == 3 || NR == 4 { s += $1 } END { printf "%.4f", s / 2 }')"
+  if ! awk -v m="$MEDIAN" 'BEGIN { exit !(m <= 1.02) }'; then
     echo "tier-1: FAILED — live tracing cost exceeded the 2% bound:" \
-         "disabled ${OFF1}/${OFF2}s vs enabled ${ON1}/${ON2}s." >&2
+         "median pair ratio $MEDIAN > 1.02." >&2
     exit 1
   fi
-  echo "tracing cost bounded: disabled ${OFF1}/${OFF2}s, enabled" \
-       "${ON1}/${ON2}s (<=2% + 0.05s slack)"
+  echo "tracing cost bounded: median pair ratio $MEDIAN <= 1.02"
 fi
 
 disarm_watchdog

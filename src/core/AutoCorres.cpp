@@ -162,9 +162,9 @@ std::unique_ptr<AutoCorres> AutoCorres::run(const std::string &Source,
   // callees' fingerprints — has a stored entry, and seed the HL/WA
   // result maps with the replayed signatures so that non-cached callers
   // still translate their calls exactly as a cold run would. The cache
-  // is either this run's own (loaded from CacheDir, saved at the end) or
-  // a caller-owned shared instance (the daemon's in-memory tier, which
-  // persists across requests and is flushed by its owner).
+  // is either this run's own (over CacheDir, written through as results
+  // are stored) or a caller-owned shared instance (the daemon's, which
+  // persists across requests).
   std::unique_ptr<ResultCache> OwnedCache;
   ResultCache *Cache = Opts.SharedCache;
   if (!Cache) {
@@ -178,15 +178,16 @@ std::unique_ptr<AutoCorres> AutoCorres::run(const std::string &Source,
   std::vector<char> Hit(Order.size(), 0);
   if (Cache) {
     AC->Stats.CacheEnabled = true;
-    AC->Stats.CacheDroppedEntries =
-        static_cast<unsigned>(Cache->corruptDropped());
+    // A shared cache counts drops over its lifetime; this run reports
+    // only the damaged entries its own lookups met.
+    size_t Dropped0 = Cache->corruptDropped();
     {
       AC_SPAN("cache.fingerprint");
       Keys = computeFunctionKeys(*AC->Prog, Opts.NoHeapAbs, Opts.NoWordAbs);
     }
     for (size_t I = 0; I != Order.size(); ++I) {
       const std::string &Name = Order[I];
-      CachedFuncRef E = Cache->lookup(Keys.at(Name));
+      CachedFuncRef E = Cache->lookup(Name, Keys.at(Name));
       if (!E || E->Name != Name) {
         ++AC->Stats.CacheMisses;
         if (Cache->knowsFunction(Name))
@@ -217,6 +218,8 @@ std::unique_ptr<AutoCorres> AutoCorres::run(const std::string &Source,
         FnDiags[I].note({}, Msg);
       AC->Funcs.emplace(Name, std::move(Out));
     }
+    AC->Stats.CacheDroppedEntries =
+        static_cast<unsigned>(Cache->corruptDropped() - Dropped0);
   }
 
   // The whole L1 -> L2 -> HL -> WA chain for the function at \p OrderIdx.
@@ -371,8 +374,6 @@ std::unique_ptr<AutoCorres> AutoCorres::run(const std::string &Source,
       E.TermSize = Out.finalTermSize();
       Cache->insert(std::move(E));
     }
-    if (OwnedCache)
-      OwnedCache->save(); // best-effort; a failed save only costs warmth
   }
 
   AC->Stats.AutoCorresWallSeconds = secondsSince(T1);

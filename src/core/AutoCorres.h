@@ -70,10 +70,10 @@ struct ACOptions {
   /// whole abstraction chain and replay their cached rendered output,
   /// which is bit-identical to a cold run at any Jobs count.
   std::string CacheDir;
-  /// A long-lived cache owned by the caller (the daemon's in-memory
-  /// tier). When set it overrides CacheDir entirely: the run hits and
-  /// fills this instance and never touches disk — persistence is the
-  /// owner's business (e.g. a save on drain). Must outlive the run.
+  /// A long-lived cache owned by the caller (the daemon's, one per
+  /// cache directory). When set it overrides CacheDir entirely: the run
+  /// hits and fills this instance, and through it that instance's
+  /// directory. Must outlive the run.
   ResultCache *SharedCache = nullptr;
   /// A warm worker pool owned by the caller. When set (and the run is
   /// parallel, Jobs != 1) the abstraction stages are scheduled onto it
@@ -182,8 +182,8 @@ struct ACStats {
   /// inputs (or a transitive callee's) changed.
   unsigned CacheMisses = 0;
   unsigned CacheInvalidations = 0;
-  /// Damaged on-disk entries dropped by cache recovery this run (each one
-  /// re-verifies instead of being served — corruption costs warmth only).
+  /// Damaged entry files this run's lookups met (each one re-verifies
+  /// instead of being served — corruption costs warmth only).
   unsigned CacheDroppedEntries = 0;
   /// Proof-certificate accounting (all zero unless CertPath / CertDir —
   /// or $AC_CERT / $AC_CERT_DIR — requested export this run).

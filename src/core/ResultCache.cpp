@@ -5,11 +5,11 @@
 #include "core/CallGraph.h"
 #include "simpl/PrintSimpl.h"
 #include "support/FaultInject.h"
-#include "support/FileLock.h"
 #include "support/Log.h"
 #include "support/Trace.h"
 #include "support/Fingerprint.h"
 
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -25,10 +25,10 @@ using namespace ac::core;
 using support::FaultSite;
 using support::Fingerprint;
 
-// Persistence fault sites (docs/EXPERIMENTS.md has the inventory).
+// Entry-write fault sites (docs/EXPERIMENTS.md has the inventory).
 // `crash` and `bitflip` corrupt the *published* bytes — they prove the
-// CRC recovery path; the other four fail the save cleanly and must leave
-// the previously published file untouched.
+// CRC recovery path; the other four fail the write cleanly and must
+// publish nothing.
 static const FaultSite FaultSaveOpen("cache.save.open");
 static const FaultSite FaultSaveWrite("cache.save.write");
 static const FaultSite FaultSaveFsync("cache.save.fsync");
@@ -55,30 +55,17 @@ std::string ResultCache::resolveDir(const std::string &OptDir) {
 }
 
 //===----------------------------------------------------------------------===//
-// Load / save. Versioned text with length-prefixed blobs. Every entry
-// ends with a CRC-32 of its serialized body, and the parser recovers
-// per-entry: a damaged entry (torn write, truncation, bit flip) is
-// dropped and the scan resyncs at the next "entry " line start, so one
-// bad entry never takes out its intact neighbours.
+// The entry format. Line-framed text with length-prefixed blobs, ending
+// with a CRC-32 of the serialized body, so a torn write, a truncated
+// file or a flipped bit is caught when the entry is read.
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-std::string cacheFile(const std::string &Dir) {
-  return Dir + "/accache-v" + std::to_string(ResultCache::FormatVersion) +
-         ".txt";
-}
-
-/// The advisory lock guarding the cache file against concurrent
-/// processes. One lock file per directory, version-independent.
-std::string lockFile(const std::string &Dir) {
-  return Dir + "/accache.lock";
-}
-
 // Strict cursor-based parsing over the whole file image. Strictness is
 // deliberate: the only writer is writeEntry below, so any deviation from
-// its exact byte layout *is* corruption, and failing fast hands control
-// to the resync loop (the CRC would reject the entry anyway).
+// its exact byte layout *is* corruption, and failing fast makes the
+// entry a miss (the CRC would reject it anyway).
 
 bool eatLit(const std::string &D, size_t &P, std::string_view Lit) {
   if (D.size() - P < Lit.size() || D.compare(P, Lit.size(), Lit) != 0)
@@ -129,8 +116,7 @@ void writeBlob(std::ostream &Out, const std::string &S) {
 
 /// Parses one entry whose "entry " keyword starts at \p P. On success
 /// fills \p E, advances \p P past the trailing "end\n", and guarantees
-/// the body bytes match the stored CRC. On failure \p P is unspecified —
-/// the caller resyncs from the entry start.
+/// the body bytes match the stored CRC. On failure \p P is unspecified.
 bool parseEntryAt(const std::string &D, size_t &P, CachedFunc &E) {
   size_t Body = P;
   std::string Tok;
@@ -208,6 +194,13 @@ void writeEntry(std::ostream &Final, const CachedFunc &E) {
         << "\nend\n";
 }
 
+/// Parses one whole entry file, rejecting trailing bytes and any CRC
+/// mismatch (torn write, truncation, bit flip).
+bool parseCachedFunc(const std::string &Blob, CachedFunc &Out) {
+  size_t P = 0;
+  return parseEntryAt(Blob, P, Out) && P == Blob.size();
+}
+
 } // namespace
 
 std::string core::serializeCachedFunc(const CachedFunc &E) {
@@ -216,128 +209,111 @@ std::string core::serializeCachedFunc(const CachedFunc &E) {
   return Out.str();
 }
 
-bool core::parseCachedFunc(const std::string &Blob, CachedFunc &Out) {
-  size_t P = 0;
-  return parseEntryAt(Blob, P, Out) && P == Blob.size();
-}
+//===----------------------------------------------------------------------===//
+// The entry tree
+//===----------------------------------------------------------------------===//
 
 namespace {
 
-/// The next "entry " keyword at a line start, at or after \p From.
-size_t findEntryStart(const std::string &D, size_t From) {
-  for (size_t At = D.find("entry ", From); At != std::string::npos;
-       At = D.find("entry ", At + 1))
-    if (At == 0 || D[At - 1] == '\n')
-      return At;
-  return std::string::npos;
+/// Function names become path components, so only C identifiers
+/// qualify: no separator, no "..", no empty component.
+bool pathSafeName(const std::string &Name) {
+  if (Name.empty() || (Name[0] >= '0' && Name[0] <= '9'))
+    return false;
+  for (char C : Name)
+    if (!((C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') ||
+          (C >= '0' && C <= '9') || C == '_'))
+      return false;
+  return true;
 }
+
+/// The root of this format version's entry tree. A version bump moves
+/// every entry out of sight; older roots (and v2's single
+/// `accache-v2.txt` file) are never read.
+std::string storeRoot(const std::string &Dir) {
+  return Dir + "/accache-v" + std::to_string(ResultCache::FormatVersion);
+}
+
+/// False when the file is absent or unreadable (a plain miss).
+bool readFile(const std::string &Path, std::string &Out) {
+  std::ifstream In(Path, std::ios::binary);
+  if (!In)
+    return false;
+  std::ostringstream Buf;
+  Buf << In.rdbuf();
+  Out = Buf.str();
+  return !In.bad();
+}
+
+/// Temp-file names must differ between every concurrent writer of one
+/// key: other processes (the pid) and other threads or instances of
+/// this one (the counter).
+std::atomic<uint64_t> TmpSeq{0};
 
 } // namespace
 
-/// Parses the cache file at \p Path into \p Entries / \p KnownNames.
-/// Damaged entries are dropped and counted in \p Dropped — one count per
-/// contiguous damaged region, since resyncing through a torn entry whose
-/// blob bytes happen to contain "entry " at a line start would otherwise
-/// inflate the count for a single casualty.
-static void readCacheFile(const std::string &Path,
-                          std::map<uint64_t, CachedFuncRef> &Entries,
-                          std::map<std::string, uint64_t> &KnownNames,
-                          size_t &Dropped) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return;
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  const std::string D = Buf.str();
-  size_t P = 0;
-  uint64_t Version;
-  if (!eatLit(D, P, "ACCACHE ") || !readNum(D, P, Version) ||
-      !eatLit(D, P, "\n") || Version != ResultCache::FormatVersion)
-    return; // stale or foreign file: every lookup misses
-  bool InBadRegion = false;
-  while (true) {
-    size_t At = findEntryStart(D, P);
-    if (At == std::string::npos)
-      break;
-    size_t Q = At;
-    CachedFunc E;
-    if (parseEntryAt(D, Q, E)) {
-      KnownNames[E.Name] = E.Key;
-      Entries[E.Key] = std::make_shared<const CachedFunc>(std::move(E));
-      P = Q;
-      InBadRegion = false;
-    } else {
-      if (!InBadRegion)
-        ++Dropped;
-      InBadRegion = true;
-      P = At + 6; // resync at the next line-start "entry "
-    }
-  }
+std::string ResultCache::entryPath(const std::string &Name,
+                                   uint64_t Key) const {
+  return storeRoot(Dir) + "/" + Name + "/" + Fingerprint::hex(Key);
 }
 
-ResultCache::ResultCache(std::string D) : Dir(std::move(D)) { load(); }
-
-void ResultCache::load() {
-  if (Dir.empty())
-    return; // memory-only tier
-  AC_SPAN("cache.load");
-  // Shared lock: concurrent readers overlap, but a mid-save writer can
-  // never hand us a half-written file. Lockless fallback if the lock
-  // file is unopenable (e.g. the directory does not exist yet).
-  support::FileLock L = [&] {
-    AC_SPAN("cache.lockwait");
-    return support::FileLock::acquire(lockFile(Dir), /*Exclusive=*/false);
-  }();
-  size_t Dropped = 0;
-  readCacheFile(cacheFile(Dir), Entries, KnownNames, Dropped);
-  if (Dropped) {
-    CorruptDropped += Dropped;
-    // "dropped" is load-bearing: operators (and tier-1) grep for it.
-    support::Log::warn(
-        "cache.entries_dropped",
-        {{"path", cacheFile(Dir)},
-         {"dropped", static_cast<uint64_t>(Dropped)},
-         {"kept", static_cast<uint64_t>(Entries.size())},
-         {"msg", "dropped damaged cache entries; dropped functions "
-                 "re-verify"}});
-  }
-}
-
-CachedFuncRef ResultCache::lookup(uint64_t Key) const {
+CachedFuncRef ResultCache::lookup(const std::string &Name,
+                                  uint64_t Key) const {
   {
     std::lock_guard<std::mutex> L(M);
     auto It = Entries.find(Key);
     if (It != Entries.end())
       return It->second;
   }
-  if (!Remote)
+  if (Dir.empty() || !pathSafeName(Name))
     return nullptr;
-  // Remote fetch outside the mutex: a slow network round-trip must not
-  // serialize concurrent local hits.
+  // The file read runs outside the mutex: a slow disk must not serialize
+  // concurrent memory hits.
+  std::string Path = entryPath(Name, Key);
+  std::string Blob;
+  if (!readFile(Path, Blob))
+    return nullptr; // no entry file: a plain miss
   CachedFunc E;
-  if (!Remote->get(Key, E) || E.Key != Key)
+  if (!parseCachedFunc(Blob, E) || E.Key != Key || E.Name != Name) {
+    {
+      std::lock_guard<std::mutex> L(M);
+      ++CorruptDropped;
+    }
+    // "dropped" is load-bearing: operators (and tier-1) grep for it.
+    support::Log::warn("cache.entry_dropped",
+                       {{"path", Path},
+                        {"msg", "dropped damaged cache entry; the function "
+                                "re-verifies"}});
     return nullptr;
+  }
   auto Ref = std::make_shared<const CachedFunc>(std::move(E));
   {
     std::lock_guard<std::mutex> L(M);
-    ++RemoteHits;
-    auto It = KnownNames.find(Ref->Name);
+    ++DiskHits;
+    auto It = KnownNames.find(Name);
     if (It != KnownNames.end() && It->second != Key)
       Entries.erase(It->second);
-    KnownNames[Ref->Name] = Key;
+    KnownNames[Name] = Key;
     Entries[Key] = Ref; // promote: next time it is a memory hit
   }
   return Ref;
 }
 
-size_t ResultCache::remoteHits() const {
+size_t ResultCache::diskHits() const {
   std::lock_guard<std::mutex> L(M);
-  return RemoteHits;
+  return DiskHits;
 }
 
 bool ResultCache::knowsFunction(const std::string &Name) const {
-  std::lock_guard<std::mutex> L(M);
-  return KnownNames.count(Name) != 0;
+  {
+    std::lock_guard<std::mutex> L(M);
+    if (KnownNames.count(Name))
+      return true;
+  }
+  if (Dir.empty() || !pathSafeName(Name))
+    return false;
+  std::error_code EC;
+  return std::filesystem::is_directory(storeRoot(Dir) + "/" + Name, EC);
 }
 
 size_t ResultCache::size() const {
@@ -362,81 +338,34 @@ void ResultCache::insert(CachedFunc E) {
     Ref = std::make_shared<const CachedFunc>(std::move(E));
     Entries[Key] = Ref;
   }
-  // Write-through on miss: every freshly computed entry is published so
-  // the next shard's cold miss becomes a remote hit. Outside the mutex
-  // (network), best-effort (the tier may drop it).
-  if (Remote)
-    Remote->put(*Ref);
+  // Write-through, outside the mutex (file I/O); best-effort.
+  if (!Dir.empty() && pathSafeName(Ref->Name))
+    (void)writeEntryFile(*Ref);
 }
 
-bool ResultCache::save() {
-  if (Dir.empty())
-    return true; // memory-only tier persists nothing
+bool ResultCache::writeEntryFile(const CachedFunc &E) const {
   AC_SPAN("cache.save");
-  std::error_code EC;
-  std::filesystem::create_directories(Dir, EC); // best-effort
-
-  // Exclusive lock for the whole read-merge-write: another process that
-  // saved since our load must not lose its entries, and no reader may
-  // observe a torn file. Own names win (we computed them more recently);
-  // foreign-only names are carried over.
-  support::FileLock Lock = [&] {
-    AC_SPAN("cache.lockwait");
-    return support::FileLock::acquire(lockFile(Dir), /*Exclusive=*/true);
-  }();
-
-  std::map<uint64_t, CachedFuncRef> Merged;
-  std::map<std::string, uint64_t> MergedNames;
-  size_t Dropped = 0;
-  readCacheFile(cacheFile(Dir), Merged, MergedNames, Dropped);
-  {
-    std::lock_guard<std::mutex> L(M);
-    CorruptDropped += Dropped;
-    for (const auto &[Name, Key] : KnownNames) {
-      auto It = MergedNames.find(Name);
-      if (It != MergedNames.end() && It->second != Key)
-        Merged.erase(It->second);
-      MergedNames[Name] = Key;
-      Merged[Key] = Entries.at(Key);
-    }
-  }
-
-  // Serialize the whole image up front: fault injection below mutates
-  // the finished byte string, and a single write keeps the temp-file
-  // window minimal.
-  std::string Image;
-  {
-    std::ostringstream Out;
-    Out << "ACCACHE " << FormatVersion << "\n";
-    for (const auto &[Key, E] : Merged)
-      writeEntry(Out, *E);
-    Image = Out.str();
-  }
+  std::string Image = serializeCachedFunc(E);
 
   // cache.save.crash: a torn image lands on the *published* path — the
   // state a power cut leaves on a filesystem that reordered data and
-  // rename journal entries. The next load's per-entry recovery must cope.
+  // rename journal entries. The next lookup's CRC check must cope.
   bool Torn = FaultSaveCrash.fire();
   if (Torn)
     Image.resize(Image.size() - Image.size() / 3);
-  // cache.save.bitflip: silent single-bit corruption. The save itself
-  // reports success; the *next load* must catch the entry by CRC.
-  bool Flipped = FaultSaveBitflip.fire();
-  if (Flipped && !Image.empty())
+  // cache.save.bitflip: silent single-bit corruption. The write itself
+  // reports success; the *next lookup* must catch the entry by CRC.
+  if (FaultSaveBitflip.fire() && !Image.empty())
     Image[Image.size() / 2] ^= 0x20;
-
-  // The temp name only needs to dodge concurrent savers of *other*
-  // directories' files landing in shared tmp listings; hashing the entry
-  // set keeps it deterministic per content. (Same-directory savers are
-  // serialized by the lock above.)
-  Fingerprint NameFP;
-  for (const auto &[Key, E] : Merged)
-    NameFP.u64(Key);
-  std::string Tmp = cacheFile(Dir) + ".tmp." + Fingerprint::hex(NameFP.digest());
 
   if (FaultSaveOpen.fire())
     return false;
-  int FD = ::open(Tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  std::string Final = entryPath(E.Name, E.Key);
+  std::error_code EC;
+  std::filesystem::create_directories(storeRoot(Dir) + "/" + E.Name, EC);
+  std::string Tmp = Final + ".tmp." + std::to_string(::getpid()) + "." +
+                    std::to_string(TmpSeq.fetch_add(1));
+  int FD = ::open(Tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
   if (FD < 0)
     return false;
   auto Fail = [&] {
@@ -445,8 +374,8 @@ bool ResultCache::save() {
     return false;
   };
   if (FaultSaveWrite.fire()) {
-    // Partial write then failure: the temp file is abandoned whole-cloth
-    // and the published cache file stays intact.
+    // Partial write then failure: the temp file is abandoned and
+    // nothing is published.
     (void)!::write(FD, Image.data(), Image.size() / 2);
     return Fail();
   }
@@ -463,18 +392,21 @@ bool ResultCache::save() {
     Left -= static_cast<size_t>(N);
   }
   // fsync before rename: otherwise the rename can become durable while
-  // the data is not — exactly the torn-file state the CRC recovery
-  // exists for, but not one we should manufacture ourselves.
+  // the data is not — exactly the torn-file state the CRC check exists
+  // for, but not one we should manufacture ourselves.
   if (FaultSaveFsync.fire() || ::fsync(FD) != 0)
     return Fail();
   ::close(FD);
+  // rename() replaces atomically: a concurrent reader sees the old file
+  // or the new one, never a mix, and two writers of one key both land
+  // complete (identical) images.
   if (FaultSaveRename.fire() ||
-      std::rename(Tmp.c_str(), cacheFile(Dir).c_str()) != 0) {
+      std::rename(Tmp.c_str(), Final.c_str()) != 0) {
     std::remove(Tmp.c_str());
     return false;
   }
-  // A torn image did land (that is the point of the site), but the save
-  // as a whole did not complete normally — report it like a crash would.
+  // A torn image did land (that is the point of the site), but the
+  // write as a whole did not complete normally.
   return !Torn;
 }
 

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A content-addressed, on-disk cache of per-function pipeline results.
+/// A content-addressed cache of per-function pipeline results.
 /// In an interactive verification workflow only a handful of functions
 /// change between runs, so the driver fingerprints every function's
 /// pipeline *inputs* — its Simpl body and signature, the per-function
@@ -16,9 +16,10 @@
 /// count; the golden-spec snapshot suite and the cache-equivalence test
 /// are the enforcing oracles.
 ///
-/// The cache file is a versioned, length-prefixed text format under the
-/// cache directory. Corrupt, truncated, or version-mismatched content is
-/// silently treated as a miss — the cache can always be deleted.
+/// On disk each entry is one file of length-prefixed text under a
+/// versioned root in the cache directory. Corrupt, truncated, or
+/// version-mismatched content is treated as a miss — the cache can
+/// always be deleted.
 /// What a cached entry stores is the *rendered* artefacts (final spec,
 /// per-phase specs, composed-theorem proposition, diagnostics) plus the
 /// result signature callers need (heap-lifted / word-abstracted flags);
@@ -35,6 +36,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
@@ -73,99 +75,66 @@ struct CachedFunc {
 /// against one cache) can never invalidate an entry a reader still holds.
 using CachedFuncRef = std::shared_ptr<const CachedFunc>;
 
-/// A remote content-addressed entry store — the third cache tier behind
-/// memory and disk (src/cache/RemoteCache.h implements it over the wire;
-/// this interface keeps core free of any transport dependency). Both
-/// calls are best-effort: get() returning false is a miss, put() may
-/// silently drop (the entry is recomputable by construction). Must be
-/// thread-safe — concurrent sessions share one tier.
-class RemoteTier {
-public:
-  virtual ~RemoteTier() = default;
-  /// Fetches the entry under \p Key. False on miss or any error.
-  virtual bool get(uint64_t Key, CachedFunc &Out) = 0;
-  /// Publishes a freshly computed entry (write-through on miss).
-  virtual void put(const CachedFunc &E) = 0;
-};
-
-/// Serializes one entry in the v2 on-disk record format (CRC trailer
-/// included) — also the wire blob of the remote tier, so a remote entry
-/// is checked by exactly the code path that checks a disk entry.
+/// Serializes one entry: the whole content of one entry file, CRC
+/// trailer included.
 std::string serializeCachedFunc(const CachedFunc &E);
 
-/// Parses a serializeCachedFunc blob, rejecting trailing bytes and any
-/// CRC mismatch (torn write / bit flip anywhere in transit).
-bool parseCachedFunc(const std::string &Blob, CachedFunc &Out);
-
-/// The store: load at construction, insert misses, save on demand. Fully
-/// thread-safe — the verification daemon keeps one long-lived instance
-/// per cache directory as its in-memory tier and runs concurrent
+/// The store: a memory tier in front of an optional directory of entry
+/// files. Fully thread-safe — the verification daemon keeps one
+/// long-lived instance per cache directory and runs concurrent
 /// abstraction sessions against it; the CLI path constructs one per run.
 ///
-/// With a non-empty directory the entries are also persisted on disk.
-/// Cross-process coordination is by advisory file lock
-/// (support/FileLock.h): loads take the lock shared, saves take it
-/// exclusive and *merge* with the file's current contents (own names
-/// win), so two processes sharing a CacheDir can interleave runs without
-/// corrupting the file or dropping each other's entries. A directory-less
-/// instance is a pure in-memory cache (load/save are no-ops).
+/// Memory tier: one entry per function name. A recompute evicts the
+/// superseded entry, so daemon memory is bounded by the number of names.
 ///
-/// Crash safety: saves land atomically (serialize, write to a temp file,
-/// fsync, rename) and every entry carries a CRC-32 of its serialized
-/// bytes, so a torn write, a truncated file, or a flipped bit is caught
-/// at load. Recovery is per-entry: a damaged entry is dropped (and
-/// counted — corruptDropped(), surfaced in ACStats) while every intact
-/// entry before and after it keeps serving. A corrupt entry is therefore
-/// never *served*; at worst its function is re-verified, which the
-/// golden-spec suite proves is byte-identical.
+/// Disk tier (non-empty directory): immutable, content-addressed entry
+/// files at `DIR/accache-v3/<function name>/<16-hex key>`, each holding
+/// one serializeCachedFunc blob. insert() writes the file through at
+/// once (temp file with a per-writer unique name, fsync, rename), so
+/// processes sharing a directory never lock, never merge and never
+/// lose an entry, and a killed process keeps everything it computed.
+/// lookup() reads the file on a memory miss. A damaged or foreign file
+/// (bad CRC, truncation, another key's bytes) is a miss that is counted
+/// (corruptDropped()) and warned about; the recompute overwrites it.
+/// Names that are not C identifiers are never turned into paths: their
+/// entries stay memory-only.
 class ResultCache {
 public:
-  /// Bump when CachedFunc gains fields or the key derivation changes;
-  /// older files are then ignored wholesale (stale == miss).
-  /// v2: per-entry CRC-32 trailer, strict line framing.
-  static constexpr unsigned FormatVersion = 2;
+  /// Bump when CachedFunc gains fields or the key derivation changes:
+  /// entries then live under a new `accache-vN` root, and older ones are
+  /// never read (stale == miss).
+  /// v3: one entry file per (name, key) under a directory tree.
+  static constexpr unsigned FormatVersion = 3;
 
-  /// Loads the cache file under \p Dir (created on save if absent).
-  /// Unreadable or corrupt content yields an empty (all-miss) cache.
+  /// A cache over the entry tree under \p Dir (created on first write).
   /// An empty \p Dir makes a memory-only cache.
-  explicit ResultCache(std::string Dir);
+  explicit ResultCache(std::string Dir) : Dir(std::move(Dir)) {}
 
-  /// The entry for \p Key, or null (miss). On a local (memory) miss a
-  /// configured remote tier is consulted — outside the cache mutex, so a
-  /// slow network fetch never stalls concurrent local hits — and a
-  /// remote hit is promoted into the memory tier (and the disk file on
-  /// the next save).
-  CachedFuncRef lookup(uint64_t Key) const;
+  /// The entry for function \p Name under \p Key, or null (miss). A
+  /// memory miss reads the entry file (outside the cache mutex, so a
+  /// disk read never stalls concurrent memory hits) and promotes a
+  /// disk hit into the memory tier.
+  CachedFuncRef lookup(const std::string &Name, uint64_t Key) const;
 
-  /// Attaches the remote tier (memory → disk → remote). Not owned; must
-  /// outlive this cache. nullptr detaches.
-  void setRemote(RemoteTier *R) { Remote = R; }
+  /// Entries served from the directory after a memory miss.
+  size_t diskHits() const;
 
-  /// Entries served from the remote tier by this instance (the per-shard
-  /// signal the fleet acceptance test asserts on).
-  size_t remoteHits() const;
-
-  /// True if some entry (under any key) is for function \p Name — a miss
-  /// for a known name is an invalidation, not a first sight.
+  /// True if function \p Name is known in memory or has an entry
+  /// directory — a miss for a known name is an invalidation, not a
+  /// first sight, whichever process computed the earlier entry.
   bool knowsFunction(const std::string &Name) const;
 
-  /// Records a freshly computed result. One entry per function name: a
-  /// recompute evicts the superseded entry, so the store holds exactly
-  /// the latest results.
+  /// Records a freshly computed result in memory (evicting the name's
+  /// superseded entry) and writes its entry file through. The write is
+  /// best-effort: a failure only costs warmth.
   void insert(CachedFunc E);
 
-  /// Writes all entries back (atomic: temp file + rename), after merging
-  /// under the exclusive file lock with whatever another process saved
-  /// since our load — their names are kept unless we recomputed them.
-  /// Returns false on I/O failure (and true, trivially, for a memory-only
-  /// cache); the cache is best-effort, so callers only note it.
-  bool save();
-
   const std::string &dir() const { return Dir; }
+  /// Entries in the memory tier.
   size_t size() const;
 
-  /// Damaged entries dropped by startup recovery (plus any found while
-  /// re-reading the file during save merges). Zero on a healthy cache.
+  /// Damaged or foreign entry files met by this instance's lookups, over
+  /// its lifetime. Zero on a healthy cache.
   size_t corruptDropped() const;
 
   /// Resolves the effective cache directory: AC_CACHE=0 force-disables;
@@ -174,18 +143,18 @@ public:
   static std::string resolveDir(const std::string &OptDir);
 
 private:
-  void load();
+  /// Writes \p E's entry file; false on any I/O failure.
+  bool writeEntryFile(const CachedFunc &E) const;
+  std::string entryPath(const std::string &Name, uint64_t Key) const;
 
   std::string Dir;
-  /// Mutable: a const lookup() promotes remote hits into the memory
-  /// tier — logically read-only caching.
+  /// Mutable: a const lookup() promotes disk hits into the memory tier
+  /// — logically read-only caching.
   mutable std::map<uint64_t, CachedFuncRef> Entries;
   /// Name -> current key, for eviction and invalidation accounting.
   mutable std::map<std::string, uint64_t> KnownNames;
-  /// Damaged entries dropped across all file reads of this instance.
-  size_t CorruptDropped = 0;
-  RemoteTier *Remote = nullptr;
-  mutable size_t RemoteHits = 0;
+  mutable size_t CorruptDropped = 0;
+  mutable size_t DiskHits = 0;
   mutable std::mutex M;
 };
 

@@ -159,13 +159,6 @@ bool Client::metricsText(std::string &Out, std::string &Err) {
   return true;
 }
 
-bool Client::tracePull(Json &Out, std::string &Err) {
-  Json Req = Json::object();
-  Req.set("v", ProtocolVersion);
-  Req.set("op", "trace_pull");
-  return roundTrip(Req, Out, Err) && Out.get("ok").asBool();
-}
-
 bool Client::ping(std::string &Err) {
   Json Req = Json::object();
   Req.set("v", ProtocolVersion);

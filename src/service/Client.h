@@ -95,10 +95,6 @@ public:
   /// Fetches the `metrics` request's Prometheus text exposition.
   bool metricsText(std::string &Out, std::string &Err);
 
-  /// Drains the daemon's trace buffers: the `trace_pull` payload
-  /// ({pid, role, body} with body one Chrome-JSON fragment).
-  bool tracePull(support::Json &Out, std::string &Err);
-
   /// Liveness probe.
   bool ping(std::string &Err);
 

@@ -43,30 +43,20 @@ void emitHeader(std::string &Out, const char *Name, const char *Help,
   Out += '\n';
 }
 
-/// Emitter carrying the per-shard label set. Lbl is either empty or a
-/// bare `shard_id="..."` pair; samples compose it into `{...}` (and
-/// merge it with quantile labels) so an unlabeled render stays
-/// byte-identical to the pre-fleet surface.
+/// Appends samples to one exposition.
 struct Emitter {
   std::string &Out;
-  std::string Lbl;
 
-  /// `name{lbl}` or plain `name`.
-  std::string sample(const char *Name) const {
-    return Lbl.empty() ? std::string(Name)
-                       : std::string(Name) + "{" + Lbl + "}";
-  }
-  /// `name{lbl,Extra}` or `name{Extra}`.
+  /// `name{Extra}`.
   std::string sample(const char *Name, const std::string &Extra) const {
-    return Lbl.empty() ? std::string(Name) + "{" + Extra + "}"
-                       : std::string(Name) + "{" + Lbl + "," + Extra + "}";
+    return std::string(Name) + "{" + Extra + "}";
   }
 
   void u64(const char *Name, const char *Help, const char *Type,
            uint64_t V) {
     emitHeader(Out, Name, Help, Type);
     char Buf[160];
-    std::snprintf(Buf, sizeof(Buf), "%s %llu\n", sample(Name).c_str(),
+    std::snprintf(Buf, sizeof(Buf), "%s %llu\n", Name,
                   static_cast<unsigned long long>(V));
     Out += Buf;
   }
@@ -75,7 +65,7 @@ struct Emitter {
            double V) {
     emitHeader(Out, Name, Help, Type);
     char Buf[160];
-    std::snprintf(Buf, sizeof(Buf), "%s %.6f\n", sample(Name).c_str(), V);
+    std::snprintf(Buf, sizeof(Buf), "%s %.6f\n", Name, V);
     Out += Buf;
   }
 
@@ -111,12 +101,9 @@ struct Emitter {
       }
       Out += '\n';
     }
-    std::snprintf(Buf, sizeof(Buf), "%s %.6f\n",
-                  sample((std::string(Name) + "_sum").c_str()).c_str(),
-                  S.SumS);
+    std::snprintf(Buf, sizeof(Buf), "%s_sum %.6f\n", Name, S.SumS);
     Out += Buf;
-    std::snprintf(Buf, sizeof(Buf), "%s %llu\n",
-                  sample((std::string(Name) + "_count").c_str()).c_str(),
+    std::snprintf(Buf, sizeof(Buf), "%s_count %llu\n", Name,
                   static_cast<unsigned long long>(S.Count));
     Out += Buf;
   }
@@ -134,12 +121,9 @@ struct Emitter {
     std::snprintf(Buf, sizeof(Buf), "%s %.6f\n",
                   sample(Name, "quantile=\"0.99\"").c_str(), S.P99S);
     Out += Buf;
-    std::snprintf(Buf, sizeof(Buf), "%s %.6f\n",
-                  sample((std::string(Name) + "_sum").c_str()).c_str(),
-                  S.SumS);
+    std::snprintf(Buf, sizeof(Buf), "%s_sum %.6f\n", Name, S.SumS);
     Out += Buf;
-    std::snprintf(Buf, sizeof(Buf), "%s %llu\n",
-                  sample((std::string(Name) + "_count").c_str()).c_str(),
+    std::snprintf(Buf, sizeof(Buf), "%s_count %llu\n", Name,
                   static_cast<unsigned long long>(S.Count));
     Out += Buf;
   }
@@ -268,17 +252,10 @@ Json ServiceMetrics::Snapshot::toJson() const {
 }
 
 std::string
-ServiceMetrics::Snapshot::toPrometheus(const std::string &ShardId,
-                                       const std::string &Role) const {
+ServiceMetrics::Snapshot::toPrometheus() const {
   std::string O;
   O.reserve(4096);
-  std::string Lbl;
-  if (!ShardId.empty()) {
-    Lbl = "shard_id=\"" + ShardId + "\"";
-    if (!Role.empty())
-      Lbl += ",role=\"" + Role + "\"";
-  }
-  Emitter E{O, Lbl};
+  Emitter E{O};
   E.f64("acd_uptime_seconds", "Seconds since the daemon started.",
         "gauge", UptimeS);
   E.u64("acd_draining", "1 while the daemon refuses new work.", "gauge",

@@ -192,13 +192,8 @@ struct ServiceMetrics {
     /// headers plus one sample per counter/gauge, histogram quantiles
     /// as `{quantile="..."}` summary samples, and true histograms
     /// (cumulative `le` buckets with exemplar trace ids on buckets that
-    /// hold one) for request latency and queue wait. A non-empty
-    /// \p ShardId attaches `shard_id="..."` — plus `role="..."` when
-    /// \p Role is also set — to every sample so fleet scrapes aggregate
-    /// per shard; "" keeps the surface byte-identical to the
-    /// single-daemon output.
-    std::string toPrometheus(const std::string &ShardId = "",
-                             const std::string &Role = "") const;
+    /// hold one) for request latency and queue wait.
+    std::string toPrometheus() const;
   };
 
   /// Captures a Snapshot. The queue/in-flight gauges are owned by the

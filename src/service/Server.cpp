@@ -115,6 +115,13 @@ bool Server::start() {
       support::Log::warn("trace.dir_failed",
                          {{"path", Opts.TraceDir},
                           {"error", EC.message()}});
+    // Collect from boot, so the first request's trace carries its
+    // acd.request span like every later one. Rule fire counts ride
+    // along in each trace's ruleProfile key; the profiler is cumulative
+    // across requests (concurrent workers share it, like the span
+    // buffers).
+    support::RuleProfile::setEnabled(true);
+    support::Trace::start();
   }
   if (!Opts.CertDir.empty()) {
     std::error_code EC;
@@ -142,10 +149,6 @@ bool Server::start() {
       return false;
     TcpPort = ListenTcp.boundPort();
   }
-  if (Opts.TraceLive) {
-    support::Trace::setRole("shard");
-    support::Trace::start();
-  }
   Started = true;
   if (Listen.valid())
     Acceptor =
@@ -166,9 +169,6 @@ void Server::waitDrained() {
     std::unique_lock<std::mutex> L(QueueM);
     DrainCV.wait(L, [&] { return Queue.empty() && InFlight.load() == 0; });
   }
-  std::lock_guard<std::mutex> L(CachesM);
-  for (auto &[Dir, Cache] : Caches)
-    Cache->save();
 }
 
 void Server::stop() {
@@ -315,16 +315,6 @@ bool Server::handleFrame(const std::shared_ptr<Conn> &C,
     C->send(statsJson());
   } else if (Op == "metrics") {
     C->send(metricsJson());
-  } else if (Op == "trace_pull") {
-    // Drains this process's span buffers into one Chrome-JSON fragment;
-    // a collector (actrace) pulls every fleet member and merges.
-    Json R = Json::object();
-    R.set("ok", true);
-    R.set("op", "trace_pull");
-    R.set("pid", static_cast<uint64_t>(getpid()));
-    R.set("role", support::Trace::role());
-    R.set("body", support::Trace::exportJson(/*Reset=*/true));
-    C->send(R);
   } else if (Op == "drain") {
     beginDrain();
     Json R = Json::object();
@@ -618,10 +608,8 @@ void Server::runRequest(Request &R) {
 
   // Install the request's trace context for this worker thread: its
   // spans stamp the trace id, with acd.request as the root.
-  support::TraceContextScope TScope(R.Req.TraceId, /*ParentSpan=*/0);
+  support::TraceContextScope TScope(R.Req.TraceId);
   support::Span ReqSpan("acd.request");
-  if (!Opts.ShardId.empty())
-    ReqSpan.arg("shard_id", Opts.ShardId);
   if (!R.Req.Tenant.empty())
     ReqSpan.arg("tenant", R.Req.Tenant);
   ReqSpan.arg("priority", priorityName(R.Req.Prio));
@@ -669,16 +657,8 @@ void Server::runRequest(Request &R) {
 
   // Per-request tracing: spans recorded during this run (and, with
   // concurrent workers, any overlapping run) flush to one file named by
-  // the request's correlation id. Disabled in live fleet mode — the
-  // flush-reset would drain the buffers trace_pull is collecting.
-  bool Tracing = !Opts.TraceDir.empty() && !Opts.TraceLive;
-  if (Tracing) {
-    // Rule fire counts ride along in each trace's ruleProfile key. The
-    // profiler is cumulative across requests (concurrent workers share
-    // it, like the span buffers).
-    support::RuleProfile::setEnabled(true);
-    support::Trace::start();
-  }
+  // the request's correlation id.
+  bool Tracing = !Opts.TraceDir.empty();
 
   CheckResponse Resp = runCheck(R.Req, Ctx);
 
@@ -745,7 +725,7 @@ ac::support::Json Server::statsJson() {
                      Opts.Workers, memCacheEntries(), Draining.load());
   // Top-level rather than under "cache": the counter lives on the
   // ResultCache instances, not in ServiceMetrics' snapshot.
-  J.set("remote_hits", static_cast<uint64_t>(remoteHitsTotal()));
+  J.set("disk_hits", static_cast<uint64_t>(diskHitsTotal()));
   return J;
 }
 
@@ -756,7 +736,7 @@ ac::support::Json Server::metricsJson() {
   Json R = Json::object();
   R.set("ok", true);
   R.set("content_type", "text/plain; version=0.0.4");
-  R.set("body", S.toPrometheus(Opts.ShardId, "shard"));
+  R.set("body", S.toPrometheus());
   return R;
 }
 
@@ -765,11 +745,8 @@ ResultCache *Server::cacheFor(const std::string &RequestedDir) {
       RequestedDir.empty() ? Opts.CacheDir : RequestedDir);
   std::lock_guard<std::mutex> L(CachesM);
   std::unique_ptr<ResultCache> &Slot = Caches[Dir];
-  if (!Slot) {
+  if (!Slot)
     Slot = std::make_unique<ResultCache>(Dir);
-    if (Opts.Remote)
-      Slot->setRemote(Opts.Remote);
-  }
   return Slot.get();
 }
 
@@ -781,10 +758,10 @@ size_t Server::memCacheEntries() {
   return N;
 }
 
-size_t Server::remoteHitsTotal() {
+size_t Server::diskHitsTotal() {
   std::lock_guard<std::mutex> L(CachesM);
   size_t N = 0;
   for (const auto &[Dir, Cache] : Caches)
-    N += Cache->remoteHits();
+    N += Cache->diskHits();
   return N;
 }

@@ -8,7 +8,7 @@
 /// The long-lived verification service behind the `acd` binary. One
 /// process keeps the expensive state of a verification session resident —
 /// interned HOL terms and axioms survive across requests, the abstraction
-/// cache lives in memory in front of its on-disk file, and a warm
+/// cache lives in memory in front of its entry directory, and a warm
 /// ThreadPool skips per-run thread spawning — so a warm re-check of an
 /// unchanged translation unit costs a cache probe and a render replay
 /// instead of a process start.
@@ -32,7 +32,8 @@
 ///
 /// Shutdown is graceful: beginDrain() (wired to SIGTERM by acd) refuses
 /// new work with `draining`, lets queued + in-flight requests finish,
-/// flushes every disk-backed cache tier, then tears the threads down.
+/// then tears the threads down. There is nothing to flush: every cache
+/// entry was written through to its directory when it was computed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,14 +72,6 @@ struct ServerOptions {
   /// (docs/PROTOCOL.md "Authentication"); Unix-socket connections are
   /// never challenged — filesystem permissions are their auth.
   std::string AuthToken;
-  /// Label attached to every Prometheus metric this daemon exposes
-  /// (`shard_id="..."`) so a fleet's scrapes aggregate per shard. "" =
-  /// unlabeled, byte-identical to the pre-fleet surface.
-  std::string ShardId;
-  /// Optional remote cache tier shared by every ResultCache this server
-  /// creates (memory → disk → remote). Not owned; must outlive the
-  /// server. nullptr = two-tier behaviour, unchanged.
-  core::RemoteTier *Remote = nullptr;
   /// Session workers: how many check requests run concurrently.
   unsigned Workers = 2;
   /// Admission queue capacity; a full queue rejects with `busy`.
@@ -111,13 +104,6 @@ struct ServerOptions {
   /// per-file rule profile and spans cover everything recorded since
   /// the previous flush.
   std::string TraceDir;
-  /// Live fleet tracing: Trace::start() at boot (role "shard") with
-  /// spans accumulating in the in-process ring buffers for the
-  /// `trace_pull` op to drain, instead of the per-request file flushing
-  /// TraceDir does — flushing would reset the very buffers a collector
-  /// is about to pull. When both are set, TraceLive wins and TraceDir
-  /// is ignored.
-  bool TraceLive = false;
   /// When set, every check request exports a proof certificate claiming
   /// its freshly derived pipeline theorems to
   /// `<CertDir>/<trace_id>.acpc` (hol/Cert.h). The filename reuses the
@@ -149,8 +135,7 @@ public:
   /// `draining`. Idempotent, callable from a signal-handling thread.
   void beginDrain();
 
-  /// Blocks until the queue is empty and no request is in flight, then
-  /// flushes all disk-backed cache tiers.
+  /// Blocks until the queue is empty and no request is in flight.
   void waitDrained();
 
   /// beginDrain() + waitDrained() + join all threads + remove the
@@ -190,16 +175,17 @@ private:
 
   /// The cache tier for \p RequestedDir (falling back to the server
   /// default): one long-lived ResultCache per resolved directory,
-  /// created (and loaded) on first use; the "" key is the pure
-  /// in-memory tier used when no disk cache is configured.
+  /// created on first use; the "" key is the pure in-memory tier used
+  /// when no disk cache is configured.
   core::ResultCache *cacheFor(const std::string &RequestedDir);
 
-  /// Total entries across all tiers (stats).
+  /// Memory-tier entries across all caches (stats).
   size_t memCacheEntries();
 
-  /// Entries served from the remote tier across all caches (stats) —
-  /// how a cold shard proves it was refilled by accached, not recompute.
-  size_t remoteHitsTotal();
+  /// Entries served from cache directories after a memory miss, across
+  /// all caches (stats) — how a restarted daemon proves it was refilled
+  /// from disk, not recomputed.
+  size_t diskHitsTotal();
 
   ServerOptions Opts;
   ServiceMetrics Metrics;

@@ -95,7 +95,7 @@ Socket Socket::listenUnix(const std::string &Path, int Backlog) {
 
 Socket Socket::connectTcp(const std::string &Host, uint16_t Port) {
   if (FaultConnect.fire())
-    return Socket(); // shard unreachable (ECONNREFUSED)
+    return Socket(); // daemon unreachable (ECONNREFUSED)
   addrinfo Hints{};
   Hints.ai_family = AF_INET;
   Hints.ai_socktype = SOCK_STREAM;

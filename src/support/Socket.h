@@ -98,8 +98,8 @@ bool socketPair(Socket &A, Socket &B);
 
 /// Splits "host:port" into its parts. The host may be empty ("":0 is
 /// rejected); the port must be 1..65535 unless \p AllowPortZero. Returns
-/// false on malformed input. IPv6 literals are not supported — the fleet
-/// protocol addresses shards as IPv4/hostname:port.
+/// false on malformed input. IPv6 literals are not supported — the TCP
+/// transport addresses daemons as IPv4/hostname:port.
 bool parseHostPort(const std::string &Spec, std::string &Host,
                    uint16_t &Port, bool AllowPortZero = false);
 

@@ -53,28 +53,12 @@ struct Registry {
   uint32_t NextTid = 1;
   size_t RingCap = 1 << 16;
   std::string EnvPath;
-  std::string Role;
 };
 
-/// The steady anchor ts values count from, paired with the wall clock
-/// read at the same instant so a merger can rebase fragments from
-/// different processes onto one timeline. Microseconds keep the wall
-/// value inside a double's 2^53 exact-integer range.
-struct Anchors {
-  std::chrono::steady_clock::time_point Steady;
-  uint64_t UnixUs;
-};
-
-const Anchors &anchors() {
-  static const Anchors A = [] {
-    Anchors R;
-    R.Steady = std::chrono::steady_clock::now();
-    R.UnixUs = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count());
-    return R;
-  }();
+/// The steady anchor ts values count from.
+std::chrono::steady_clock::time_point anchor() {
+  static const std::chrono::steady_clock::time_point A =
+      std::chrono::steady_clock::now();
   return A;
 }
 
@@ -175,10 +159,6 @@ std::string renderJson(bool Reset) {
 
   Json Other = Json::object();
   Other.set("droppedEvents", Dropped);
-  std::string Role = Trace::role();
-  if (!Role.empty())
-    Other.set("role", Role);
-  Other.set("anchorUnixUs", static_cast<double>(anchors().UnixUs));
   Root.set("otherData", std::move(Other));
   return Root.dump();
 }
@@ -239,20 +219,8 @@ const std::string &Trace::envPath() {
 uint64_t Trace::nowNs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - anchors().Steady)
+          std::chrono::steady_clock::now() - anchor())
           .count());
-}
-
-void Trace::setRole(const std::string &Role) {
-  Registry &R = reg();
-  std::lock_guard<std::mutex> L(R.M);
-  R.Role = Role;
-}
-
-std::string Trace::role() {
-  Registry &R = reg();
-  std::lock_guard<std::mutex> L(R.M);
-  return R.Role;
 }
 
 uint64_t Trace::nextSpanId() {
@@ -283,7 +251,7 @@ void Trace::interval(const char *Name, uint64_t StartNs, uint64_t EndNs) {
     record(Name, StartNs, EndNs, {});
 }
 
-std::string Trace::exportJson(bool Reset) { return renderJson(Reset); }
+std::string Trace::exportJson() { return renderJson(/*Reset=*/false); }
 
 bool Trace::flush(const std::string &Path) {
   return writeFile(Path, renderJson(/*Reset=*/false));

@@ -9,7 +9,7 @@
 /// interesting region of work — a parse, one SCC task, a cache probe, a
 /// peephole pass — opens a nestable RAII scope:
 ///
-///   AC_SPAN("cache.load");
+///   AC_SPAN("cache.save");
 ///   ...
 ///   support::Span S("core.fn");
 ///   S.arg("fn", Name);
@@ -29,17 +29,14 @@
 /// strictly best-effort: a trace that cannot be written warns and
 /// returns false, it never fails the verification run it observed.
 ///
-/// Distributed traces: every enabled span carries a process-unique span
-/// id (`(pid << 32) | seq`, rendered as a decimal string in the event's
+/// Request traces: every enabled span carries a process-unique span id
+/// (`(pid << 32) | seq`, rendered as a decimal string in the event's
 /// args because JSON numbers are doubles) and the id of its parent. The
 /// parent comes from a thread-local trace context — a Span installs
 /// itself as the context's parent for its scope, and a
-/// TraceContextScope installs a trace id + parent carried over the wire
-/// at a request boundary, so spans recorded in different processes
-/// (a daemon, the remote cache store) chain into one tree under
-/// one trace id. Exports embed the process role and a wall-clock anchor
-/// (`otherData.role` / `otherData.anchorUnixUs`) so a merger can label
-/// pid lanes and rebase per-process steady clocks onto one timeline.
+/// TraceContextScope installs a request's trace id with no parent, so
+/// every span the request records chains into one tree under its trace
+/// id.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -82,10 +79,8 @@ public:
   static const std::string &envPath();
 
   /// Serializes everything recorded so far as Chrome trace-event JSON
-  /// (plus top-level `ruleProfile` / `otherData` keys). With \p Reset
-  /// the buffers are drained under the same registry pass — the
-  /// `trace_pull` wire op's exactly-once fragment semantics.
-  static std::string exportJson(bool Reset = false);
+  /// (plus top-level `ruleProfile` / `otherData` keys).
+  static std::string exportJson();
 
   /// Writes exportJson() to \p Path. Best-effort: returns false on any
   /// I/O failure (also the `trace.write.fail` chaos site) and never
@@ -118,12 +113,6 @@ public:
   /// task sat in the ThreadPool queue before a worker picked it up.
   static void interval(const char *Name, uint64_t StartNs, uint64_t EndNs);
 
-  /// The process's role in a fleet ("shard", "cache", ...),
-  /// embedded in exports as `otherData.role` so a trace merger can
-  /// label each pid's lane. Empty until setRole().
-  static void setRole(const std::string &Role);
-  static std::string role();
-
   /// Allocates a process-unique span id: `(pid << 32) | sequence`.
   /// Never returns 0 — 0 is the "no parent" sentinel.
   static uint64_t nextSpanId();
@@ -154,16 +143,16 @@ private:
   static std::atomic<bool> Enabled;
 };
 
-/// Installs a wire-carried trace context (trace id + remote parent span
-/// id) on the current thread for its scope — the receive side of a
-/// request hop. Restores the previous context on destruction.
+/// Installs a request's trace context (its trace id, no parent span) on
+/// the current thread for its scope. Restores the previous context on
+/// destruction.
 class TraceContextScope {
 public:
-  TraceContextScope(std::string TraceId, uint64_t ParentSpan) {
+  explicit TraceContextScope(std::string TraceId) {
     Trace::Context &C = Trace::context();
     Saved = C;
     C.TraceId = std::move(TraceId);
-    C.ParentSpan = ParentSpan;
+    C.ParentSpan = 0;
   }
   TraceContextScope(const TraceContextScope &) = delete;
   TraceContextScope &operator=(const TraceContextScope &) = delete;
@@ -211,8 +200,7 @@ public:
 
   bool active() const { return Active; }
 
-  /// This span's process-unique id (0 when inactive) — what a request
-  /// hop sends as the remote side's parent.
+  /// This span's process-unique id (0 when inactive).
   uint64_t id() const { return Active ? Id : 0; }
 
   void arg(const char *Key, std::string Value) {

@@ -13,7 +13,7 @@
 /// never drift apart silently.
 ///
 /// The invariant every driver enforces is the project's core promise:
-/// an injected fault may cost a retry, a cache miss, or a refused save,
+/// an injected fault may cost a retry, a cache miss, or a refused write,
 /// but never wrong bytes. After any fault, a re-run produces output
 /// byte-identical to a never-faulted reference run.
 ///
@@ -25,7 +25,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "cache/RemoteCache.h"
 #include "core/AutoCorres.h"
 #include "core/ResultCache.h"
 #include "hol/Print.h"
@@ -34,7 +33,6 @@
 #include "service/Client.h"
 #include "service/Server.h"
 #include "support/FaultInject.h"
-#include "support/FileLock.h"
 #include "support/Json.h"
 #include "support/Socket.h"
 #include "support/ThreadPool.h"
@@ -55,7 +53,6 @@
 using namespace ac;
 using support::FaultInject;
 using support::FaultSite;
-using support::FileLock;
 using support::Socket;
 using support::ThreadPool;
 
@@ -143,9 +140,18 @@ void expectIdentical(const Snapshot &A, const Snapshot &B,
   EXPECT_EQ(A.Diags, B.Diags) << What << ": diagnostic stream diverged";
 }
 
-std::string cacheFilePath(const std::string &Dir) {
-  return Dir + "/accache-v" +
-         std::to_string(core::ResultCache::FormatVersion) + ".txt";
+/// Every file under the cache directory's entry tree, relative to it.
+std::vector<std::string> entryFiles(const std::string &Dir) {
+  std::vector<std::string> Out;
+  std::string Root =
+      Dir + "/accache-v" + std::to_string(core::ResultCache::FormatVersion);
+  std::error_code EC;
+  for (auto It = std::filesystem::recursive_directory_iterator(Root, EC);
+       !EC && It != std::filesystem::recursive_directory_iterator();
+       It.increment(EC))
+    if (It->is_regular_file())
+      Out.push_back(std::filesystem::relative(It->path(), Root).string());
+  return Out;
 }
 
 //===----------------------------------------------------------------------===//
@@ -274,17 +280,6 @@ void driveReadEintr() {
   EXPECT_EQ(FaultInject::fired("socket.read.eintr"), 1u);
 }
 
-void driveFileLockFail() {
-  std::string Dir = freshDir("filelock");
-  ASSERT_TRUE(FaultInject::arm("filelock.acquire.fail", 1));
-  FileLock L = FileLock::acquire(Dir + "/x.lock", /*Exclusive=*/true);
-  EXPECT_FALSE(L.held()) << "callers must degrade to lockless operation";
-  EXPECT_EQ(FaultInject::fired("filelock.acquire.fail"), 1u);
-  FaultInject::disarmAll();
-  FileLock L2 = FileLock::acquire(Dir + "/x.lock", /*Exclusive=*/true);
-  EXPECT_TRUE(L2.held());
-}
-
 void drivePoolPostThrow() {
   ThreadPool P(2);
   std::atomic<int> Ran{0};
@@ -329,9 +324,11 @@ void drivePoolGraphThrow() {
   EXPECT_EQ(Ran.load(), 5);
 }
 
-/// Common shape of the four clean-failure save sites: the save reports
-/// failure, the published cache file is untouched (here: absent), and
-/// the next run rebuilds full warmth with byte-identical output.
+/// Common shape of the four clean-failure entry-write sites, armed for
+/// the first of the five entries a cold run writes: that write reports
+/// failure and publishes nothing (no entry file, no temp file), the
+/// other four land, and the next run recomputes exactly the lost entry
+/// with byte-identical output.
 void driveSaveFailure(const char *Site) {
   std::string Dir = freshDir(Site);
   Snapshot Ref = runWith(chainSource(), /*CacheDir=*/"");
@@ -340,12 +337,18 @@ void driveSaveFailure(const char *Site) {
   Snapshot Cold = runWith(chainSource(), Dir);
   EXPECT_EQ(FaultInject::fired(Site), 1u);
   FaultInject::disarmAll();
-  EXPECT_FALSE(std::filesystem::exists(cacheFilePath(Dir)))
-      << Site << ": a failed save must not publish anything";
+  std::vector<std::string> Files = entryFiles(Dir);
+  EXPECT_EQ(Files.size(), 4u)
+      << Site << ": a failed write must publish nothing";
+  for (const std::string &F : Files)
+    EXPECT_EQ(F.find(".tmp."), std::string::npos)
+        << Site << ": temp file left behind: " << F;
   expectIdentical(Ref, Cold, std::string(Site) + ": faulted cold run");
 
-  Snapshot Retry = runWith(chainSource(), Dir); // save succeeds this time
-  EXPECT_EQ(Retry.Stats.CacheHits, 0u);
+  Snapshot Retry = runWith(chainSource(), Dir); // the write succeeds now
+  EXPECT_EQ(Retry.Stats.CacheHits, 4u);
+  EXPECT_EQ(Retry.Stats.CacheMisses, 1u);
+  EXPECT_EQ(Retry.Stats.CacheDroppedEntries, 0u);
   expectIdentical(Ref, Retry, std::string(Site) + ": retry run");
 
   Snapshot Warm = runWith(chainSource(), Dir);
@@ -359,62 +362,44 @@ void driveSaveWrite() { driveSaveFailure("cache.save.write"); }
 void driveSaveFsync() { driveSaveFailure("cache.save.fsync"); }
 void driveSaveRename() { driveSaveFailure("cache.save.rename"); }
 
-void driveSaveCrash() {
-  std::string Dir = freshDir("crash");
+/// Common shape of the two sites that publish damaged bytes: the torn
+/// or flipped entry must be caught by its CRC, counted and warned about
+/// ("dropped"), and re-verified — never served — while the four intact
+/// entries keep serving; the recompute overwrites the file.
+void driveSaveDamage(const char *Site) {
+  std::string Dir = freshDir(Site);
   Snapshot Ref = runWith(chainSource(), /*CacheDir=*/"");
 
-  // The crash site publishes a torn image — the state a power cut leaves.
-  ASSERT_TRUE(FaultInject::arm("cache.save.crash", 1));
+  ASSERT_TRUE(FaultInject::arm(Site, 1));
   Snapshot Cold = runWith(chainSource(), Dir);
-  EXPECT_EQ(FaultInject::fired("cache.save.crash"), 1u);
+  EXPECT_EQ(FaultInject::fired(Site), 1u);
   FaultInject::disarmAll();
-  ASSERT_TRUE(std::filesystem::exists(cacheFilePath(Dir)));
-  expectIdentical(Ref, Cold, "crash: faulted cold run");
+  EXPECT_EQ(entryFiles(Dir).size(), 5u) << Site << ": the damage landed";
+  expectIdentical(Ref, Cold, std::string(Site) + ": faulted cold run");
 
-  // Recovery: damaged tail entries are dropped (with a warning naming
-  // the count), intact ones still serve, and the output is exact.
   ::testing::internal::CaptureStderr();
   Snapshot Rec = runWith(chainSource(), Dir);
   std::string Warn = ::testing::internal::GetCapturedStderr();
   EXPECT_NE(Warn.find("dropped"), std::string::npos)
-      << "recovery must warn about dropped entries, got: " << Warn;
-  EXPECT_GE(Rec.Stats.CacheDroppedEntries, 1u);
-  EXPECT_EQ(Rec.Stats.CacheHits + Rec.Stats.CacheMisses, 5u);
-  EXPECT_GE(Rec.Stats.CacheMisses, 1u) << "the torn tail must re-verify";
-  expectIdentical(Ref, Rec, "crash: recovery run");
+      << Site << ": recovery must warn about the dropped entry, got: "
+      << Warn;
+  EXPECT_EQ(Rec.Stats.CacheDroppedEntries, 1u);
+  EXPECT_EQ(Rec.Stats.CacheHits, 4u);
+  EXPECT_EQ(Rec.Stats.CacheMisses, 1u)
+      << Site << ": the damaged entry must miss, never be served";
+  expectIdentical(Ref, Rec, std::string(Site) + ": recovery run");
 
-  // The recovery run re-saved a clean file: full warmth, no drops.
   Snapshot Warm = runWith(chainSource(), Dir);
   EXPECT_EQ(Warm.Stats.CacheDroppedEntries, 0u);
   EXPECT_EQ(Warm.Stats.CacheHits, 5u);
-  expectIdentical(Ref, Warm, "crash: healed warm run");
+  expectIdentical(Ref, Warm, std::string(Site) + ": healed warm run");
 }
 
-void driveSaveBitflip() {
-  std::string Dir = freshDir("bitflip");
-  Snapshot Ref = runWith(chainSource(), /*CacheDir=*/"");
-
-  // Silent corruption: the save itself claims success.
-  ASSERT_TRUE(FaultInject::arm("cache.save.bitflip", 1));
-  Snapshot Cold = runWith(chainSource(), Dir);
-  EXPECT_EQ(FaultInject::fired("cache.save.bitflip"), 1u);
-  FaultInject::disarmAll();
-  expectIdentical(Ref, Cold, "bitflip: faulted cold run");
-
-  // The flipped entry must be *detected* (CRC) and re-verified — a
-  // corrupt entry served as-is would mean wrong specs, the one outcome
-  // this whole subsystem exists to prevent.
-  Snapshot Rec = runWith(chainSource(), Dir);
-  EXPECT_EQ(Rec.Stats.CacheHits + Rec.Stats.CacheMisses, 5u);
-  EXPECT_GE(Rec.Stats.CacheMisses, 1u)
-      << "the flipped entry must miss, never be served";
-  expectIdentical(Ref, Rec, "bitflip: recovery run");
-
-  Snapshot Warm = runWith(chainSource(), Dir);
-  EXPECT_EQ(Warm.Stats.CacheHits, 5u);
-  EXPECT_EQ(Warm.Stats.CacheDroppedEntries, 0u);
-  expectIdentical(Ref, Warm, "bitflip: healed warm run");
-}
+// cache.save.crash publishes a torn image — the state a power cut
+// leaves; cache.save.bitflip a silent single-bit corruption whose write
+// claims success.
+void driveSaveCrash() { driveSaveDamage("cache.save.crash"); }
+void driveSaveBitflip() { driveSaveDamage("cache.save.bitflip"); }
 
 /// The observability promise: a trace sink that cannot be written costs
 /// the trace and nothing else — the verification run still succeeds,
@@ -502,112 +487,6 @@ void driveSimpMemoEvict() {
   std::vector<std::string> Partial = render();
   FaultInject::disarmAll();
   EXPECT_EQ(Ref, Partial) << "simp.memo.evict: partial eviction";
-}
-
-//===----------------------------------------------------------------------===//
-// The fleet sites: the remote cache tier
-//===----------------------------------------------------------------------===//
-
-core::CachedFunc remoteSampleEntry() {
-  core::CachedFunc E;
-  E.Key = 0xc0ffee123456ull;
-  E.Name = "sample";
-  E.Render = "sample' x == gets (λs. x)";
-  E.PipelineProp = "ccorres ... sample";
-  E.Notes = {"driver entry"};
-  return E;
-}
-
-/// Every client-side remote-tier failure must degrade to a miss or a
-/// dropped put — the tier is an accelerator, never a correctness input.
-void driveRemoteDialFail() {
-  std::string Dir = freshDir("remotedial");
-  cache::RemoteCacheServerOptions O;
-  O.SocketPath = Dir + "/cached.sock";
-  cache::RemoteCacheServer Srv(O);
-  ASSERT_TRUE(Srv.start());
-  cache::RemoteCacheClient C(O.SocketPath);
-  core::CachedFunc E = remoteSampleEntry(), Out;
-
-  ASSERT_TRUE(FaultInject::arm("remote.dial.fail", 1));
-  EXPECT_FALSE(C.get(E.Key, Out)) << "a refused dial is a miss";
-  EXPECT_EQ(FaultInject::fired("remote.dial.fail"), 1u);
-  FaultInject::disarmAll();
-
-  C.put(E); // re-dials transparently
-  ASSERT_TRUE(C.get(E.Key, Out));
-  EXPECT_EQ(core::serializeCachedFunc(Out), core::serializeCachedFunc(E));
-  Srv.stop();
-}
-
-void driveRemoteGetFail() {
-  std::string Dir = freshDir("remoteget");
-  cache::RemoteCacheServerOptions O;
-  O.SocketPath = Dir + "/cached.sock";
-  cache::RemoteCacheServer Srv(O);
-  ASSERT_TRUE(Srv.start());
-  cache::RemoteCacheClient C(O.SocketPath);
-  core::CachedFunc E = remoteSampleEntry(), Out;
-  C.put(E);
-
-  ASSERT_TRUE(FaultInject::arm("remote.get.fail", 1));
-  EXPECT_FALSE(C.get(E.Key, Out)) << "a torn fetch is a miss, never "
-                                     "partial bytes";
-  EXPECT_EQ(FaultInject::fired("remote.get.fail"), 1u);
-  FaultInject::disarmAll();
-
-  ASSERT_TRUE(C.get(E.Key, Out)) << "the entry survived the client's bad "
-                                    "round-trip";
-  EXPECT_EQ(core::serializeCachedFunc(Out), core::serializeCachedFunc(E));
-  Srv.stop();
-}
-
-void driveRemotePutFail() {
-  std::string Dir = freshDir("remoteput");
-  cache::RemoteCacheServerOptions O;
-  O.SocketPath = Dir + "/cached.sock";
-  cache::RemoteCacheServer Srv(O);
-  ASSERT_TRUE(Srv.start());
-  cache::RemoteCacheClient C(O.SocketPath);
-  core::CachedFunc E = remoteSampleEntry(), Out;
-
-  ASSERT_TRUE(FaultInject::arm("remote.put.fail", 1));
-  C.put(E); // silently dropped
-  EXPECT_EQ(FaultInject::fired("remote.put.fail"), 1u);
-  FaultInject::disarmAll();
-  EXPECT_FALSE(C.get(E.Key, Out)) << "the dropped put must not have "
-                                     "half-published anything";
-
-  C.put(E);
-  ASSERT_TRUE(C.get(E.Key, Out));
-  EXPECT_EQ(core::serializeCachedFunc(Out), core::serializeCachedFunc(E));
-  Srv.stop();
-}
-
-void driveRemoteStoreTorn() {
-  std::string Dir = freshDir("remotetorn");
-  cache::RemoteCacheServerOptions O;
-  O.SocketPath = Dir + "/cached.sock";
-  cache::RemoteCacheServer Srv(O);
-  ASSERT_TRUE(Srv.start());
-  cache::RemoteCacheClient C(O.SocketPath);
-  core::CachedFunc E = remoteSampleEntry(), Out;
-
-  // The store accepts the put but persists a truncated image — a torn
-  // write inside the tier. The later get must reject it by CRC and
-  // report a miss: a damaged entry may cost a recompute, never serve
-  // wrong bytes (the invariant the whole cache family enforces).
-  ASSERT_TRUE(FaultInject::arm("remotecache.store.torn", 1));
-  C.put(E);
-  EXPECT_EQ(FaultInject::fired("remotecache.store.torn"), 1u);
-  FaultInject::disarmAll();
-  EXPECT_FALSE(C.get(E.Key, Out))
-      << "a torn stored entry must be a miss, never wrong bytes";
-
-  C.put(E); // clean overwrite heals the slot
-  ASSERT_TRUE(C.get(E.Key, Out));
-  EXPECT_EQ(core::serializeCachedFunc(Out), core::serializeCachedFunc(E));
-  Srv.stop();
 }
 
 //===----------------------------------------------------------------------===//
@@ -732,7 +611,6 @@ const SiteCase AllSites[] = {
     {"socket.read.fail", driveReadFail},
     {"socket.read.short", driveReadShort},
     {"socket.read.eintr", driveReadEintr},
-    {"filelock.acquire.fail", driveFileLockFail},
     {"pool.post.throw", drivePoolPostThrow},
     {"pool.graph.throw", drivePoolGraphThrow},
     {"cache.save.open", driveSaveOpen},
@@ -743,10 +621,6 @@ const SiteCase AllSites[] = {
     {"cache.save.bitflip", driveSaveBitflip},
     {"trace.write.fail", driveTraceWriteFail},
     {"simp.memo.evict", driveSimpMemoEvict},
-    {"remote.dial.fail", driveRemoteDialFail},
-    {"remote.get.fail", driveRemoteGetFail},
-    {"remote.put.fail", driveRemotePutFail},
-    {"remotecache.store.torn", driveRemoteStoreTorn},
     {"server.shed.stale", driveServerShedStale},
     {"server.quota.reject", driveServerQuotaReject},
 };

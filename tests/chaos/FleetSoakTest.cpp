@@ -1,29 +1,29 @@
-//===- FleetSoakTest.cpp - Seeded fleet soak under churn ------------------===//
+//===- FleetSoakTest.cpp - Seeded daemon soak under churn -----------------===//
 //
 // Part of the autocorres-cpp project, under the BSD 2-Clause License.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The fleet in miniature — one authenticated TCP acd writing through to
-/// an accached remote tier — soaked with mixed bulk/interactive,
-/// multi-tenant load while a seeded chaos schedule takes the cache
-/// daemon through outages. Requests spread over several cache
-/// directories, each its own memory + disk tier in front of the shared
-/// store, so first touches keep consulting the remote tier while it
-/// comes and goes. The whole schedule derives from one seed
-/// (AC_SOAK_SEED, default pinned), so a failing run replays exactly.
+/// One authenticated TCP acd over a cache directory, soaked with mixed
+/// bulk/interactive, multi-tenant load while a seeded chaos schedule
+/// stops and restarts the daemon on the same port and damages entry
+/// files under it. Every restart starts from a cold memory tier, so
+/// requests after it read the directory — including the damaged files.
+/// The whole schedule derives from one seed (AC_SOAK_SEED, default
+/// pinned), so a failing run replays exactly.
 ///
-/// The invariants are the fleet's overload contract:
-///   - every request gets exactly one *typed* answer: success or a
-///     protocol error code, never a transport error or a hang;
+/// The invariants are the daemon's overload and cache contract:
+///   - every request gets a *typed* answer — success or a protocol
+///     error code — once the client has re-dialed a restarted daemon;
+///     no request is lost;
 ///   - every completed answer is byte-identical to the in-process
-///     golden for its source — an outage may cost a recompute, never
-///     bytes;
+///     golden for its source — a restart or a damaged entry may cost a
+///     recompute, never bytes;
 ///   - no tenant starves: each tenant completes work despite quotas
 ///     and shedding;
-///   - the daemon's stats surface stays coherent through the churn, and
-///     its remote tier serves hits again once the store is back.
+///   - after a restart, the directory serves: probe requests are disk
+///     hits, and damaged entries were counted, recomputed and healed.
 ///
 /// Whole-process SIGKILL soak — real processes, real signals — is
 /// scripts/tier1.sh pass 11; this in-process twin runs under ASan in
@@ -31,7 +31,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "cache/RemoteCache.h"
 #include "service/CheckRunner.h"
 #include "service/Client.h"
 #include "service/Server.h"
@@ -39,11 +38,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -90,6 +92,38 @@ std::string respSnapshot(const CheckResponse &Resp) {
   return S;
 }
 
+/// Damages one entry file under \p CacheDir, chosen by \p Rng: a
+/// truncation (a torn write) or one flipped byte. Returns false when
+/// there is no entry file yet.
+bool damageOneEntry(const std::string &CacheDir, std::mt19937 &Rng) {
+  std::vector<std::filesystem::path> Files;
+  std::error_code EC;
+  for (auto It = std::filesystem::recursive_directory_iterator(CacheDir, EC);
+       !EC && It != std::filesystem::recursive_directory_iterator();
+       It.increment(EC))
+    if (It->is_regular_file() &&
+        It->path().filename().string().find('.') == std::string::npos)
+      Files.push_back(It->path());
+  if (Files.empty())
+    return false;
+  std::sort(Files.begin(), Files.end()); // seed-stable choice
+  const std::filesystem::path &Victim = Files[Rng() % Files.size()];
+  std::string Bytes;
+  {
+    std::ifstream In(Victim, std::ios::binary);
+    Bytes.assign(std::istreambuf_iterator<char>(In), {});
+  }
+  if (Bytes.empty())
+    return false;
+  if (Rng() % 2)
+    Bytes.resize(Bytes.size() / 2);
+  else
+    Bytes[Rng() % Bytes.size()] ^= 0x10;
+  std::ofstream Out(Victim, std::ios::binary | std::ios::trunc);
+  Out << Bytes;
+  return true;
+}
+
 TEST(FleetSoak, SeededChurnYieldsTypedAnswersAndExactBytes) {
   unsigned Seed = 20260808;
   if (const char *S = std::getenv("AC_SOAK_SEED"))
@@ -109,15 +143,9 @@ TEST(FleetSoak, SeededChurnYieldsTypedAnswersAndExactBytes) {
     Golden[I] = respSnapshot(Ref);
   }
 
-  // The shared remote tier (restarted mid-soak by the chaos schedule),
-  // then the one daemon over it. Its quota is high enough that no
-  // tenant starves.
-  cache::RemoteCacheServerOptions CO;
-  CO.SocketPath = Dir + "/cached.sock";
-  std::unique_ptr<cache::RemoteCacheServer> Cached(
-      new cache::RemoteCacheServer(CO));
-  ASSERT_TRUE(Cached->start());
-  cache::RemoteCacheClient Remote(CO.SocketPath);
+  // The one daemon, restarted by the chaos schedule on the port its
+  // first incarnation bound. Its quota is high enough that no tenant
+  // starves.
   const std::string Token = "soak-secret";
   service::ServerOptions SO;
   SO.SocketPath = "";
@@ -126,23 +154,27 @@ TEST(FleetSoak, SeededChurnYieldsTypedAnswersAndExactBytes) {
   SO.Workers = 2;
   SO.QueueCapacity = 8;
   SO.TenantQuotaRps = 200;
-  SO.CacheDir = Dir + "/tier-default";
-  SO.Remote = &Remote;
-  service::Server Srv(SO);
-  ASSERT_TRUE(Srv.start());
-  const std::string Addr = "127.0.0.1:" + std::to_string(Srv.tcpPort());
+  SO.CacheDir = Dir + "/cache";
+  std::unique_ptr<service::Server> Srv(new service::Server(SO));
+  ASSERT_TRUE(Srv->start());
+  SO.ListenAddr = "127.0.0.1:" + std::to_string(Srv->tcpPort());
+  const std::string Addr = SO.ListenAddr;
+  auto restart = [&] {
+    Srv->stop();
+    Srv.reset(new service::Server(SO));
+    return Srv->start();
+  };
 
-  // Mixed load: 4 clients, 3:1 bulk:interactive, three tenants, three
-  // cache directories. Issue counts and the per-request mix all derive
-  // from the seed.
+  // Mixed load: 4 clients, 3:1 bulk:interactive, three tenants. Issue
+  // counts and the per-request mix all derive from the seed.
   constexpr int ClientThreads = 4;
   constexpr int RequestsPerThread = 30;
   const std::array<const char *, 3> Tenants = {"t0", "t1", "t2"};
-  constexpr unsigned CacheTiers = 3;
 
-  std::atomic<uint64_t> Completed{0}, Refused{0}, Untyped{0}, Wrong{0};
+  std::atomic<uint64_t> Completed{0}, Refused{0}, Lost{0}, Wrong{0};
   std::mutex TenantsM;
   std::map<std::string, uint64_t> TenantCompleted;
+  std::atomic<bool> LoadDone{false};
 
   // Per-thread RNGs forked off the master seed keep the schedule
   // deterministic regardless of thread interleaving.
@@ -160,16 +192,27 @@ TEST(FleetSoak, SeededChurnYieldsTypedAnswersAndExactBytes) {
         Req.Prio = (MyRng() % 4 != 0) ? Priority::Bulk
                                       : Priority::Interactive;
         Req.Tenant = Tenants[MyRng() % Tenants.size()];
-        Req.CacheDir = Dir + "/tier" + std::to_string(MyRng() % CacheTiers);
         if (Req.Prio == Priority::Bulk)
           Req.TimeoutMs = 30000; // ample: sheds come from quota/churn
         Req.TraceId = "soak-" + std::to_string(T) + "-" + std::to_string(I);
 
-        // The daemon never goes away, so the contract under test is
-        // strict: one connection per client carries every answer.
+        // A restart closes the connection (or answers `draining` while
+        // it drains): re-dial and resend, a bounded number of times.
         CheckResponse Resp;
-        if (!C.check(Req, Resp, Err)) {
-          Untyped.fetch_add(1);
+        bool Answered = false;
+        for (int Try = 0; Try != 100 && !Answered; ++Try) {
+          if (!C.connected())
+            C = service::Client::connectTcp(Addr, Token, Err);
+          if (C.connected() && C.check(Req, Resp, Err) &&
+              Resp.Err != ErrorCode::Draining) {
+            Answered = true;
+            break;
+          }
+          C = service::Client();
+          std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        }
+        if (!Answered) {
+          Lost.fetch_add(1);
           continue;
         }
         if (Resp.Ok) {
@@ -186,42 +229,41 @@ TEST(FleetSoak, SeededChurnYieldsTypedAnswersAndExactBytes) {
           ADD_FAILURE() << "unexpected typed error "
                         << service::errorCodeName(Resp.Err) << ": "
                         << Resp.Message;
-          Untyped.fetch_add(1);
+          Lost.fetch_add(1);
         }
         std::this_thread::sleep_for(std::chrono::milliseconds(MyRng() % 8));
       }
     });
   }
 
-  // The chaos schedule: four seeded accached outages, each a stop, a
-  // gap, and a restart on the same socket with an empty store. Runs
-  // concurrently with the load.
+  // The chaos schedule: four seeded rounds, each damaging one entry
+  // file, then stopping the daemon and restarting it on the same port
+  // over the same directory. Runs concurrently with the load.
+  std::atomic<int> Damaged{0};
   std::thread Chaos([&] {
     std::mt19937 ChaosRng(Seed ^ 0x5eed);
-    for (int Round = 0; Round != 4; ++Round) {
+    for (int Round = 0; Round != 4 && !LoadDone.load(); ++Round) {
       std::this_thread::sleep_for(
           std::chrono::milliseconds(40 + ChaosRng() % 60));
-      Cached->stop();
-      Cached.reset();
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(60 + ChaosRng() % 80));
-      Cached.reset(new cache::RemoteCacheServer(CO));
-      ASSERT_TRUE(Cached->start())
-          << "accached could not rebind its socket in round " << Round;
+      if (damageOneEntry(SO.CacheDir, ChaosRng))
+        Damaged.fetch_add(1);
+      ASSERT_TRUE(restart()) << "acd could not rebind its port in round "
+                             << Round;
     }
   });
 
   for (std::thread &C : Clients)
     C.join();
+  LoadDone.store(true);
   Chaos.join();
 
   // The contract: all issued requests were answered, typed; completed
   // answers carried exact bytes; nobody starved.
   uint64_t Issued =
       static_cast<uint64_t>(ClientThreads) * RequestsPerThread;
-  EXPECT_EQ(Completed.load() + Refused.load() + Untyped.load(), Issued);
-  EXPECT_EQ(Untyped.load(), 0u)
-      << "some requests got transport errors instead of typed answers";
+  EXPECT_EQ(Completed.load() + Refused.load() + Lost.load(), Issued);
+  EXPECT_EQ(Lost.load(), 0u)
+      << "some requests never got a typed answer across the restarts";
   EXPECT_EQ(Wrong.load(), 0u) << "churn changed answer bytes";
   EXPECT_GE(Completed.load(), Issued / 2)
       << "churn refused most of the load; the daemon never stabilised";
@@ -231,38 +273,45 @@ TEST(FleetSoak, SeededChurnYieldsTypedAnswersAndExactBytes) {
       EXPECT_GE(TenantCompleted[T], 1u) << "tenant " << T << " starved";
   }
 
-  // The stats surface survived the churn coherently.
-  std::string Err;
-  service::Client C = service::Client::connectTcp(Addr, Token, Err);
-  ASSERT_TRUE(C.connected()) << Err;
-  support::Json Stats;
-  ASSERT_TRUE(C.stats(Stats, Err)) << Err;
-  EXPECT_GE(Stats.get("requests").get("completed").asInt(), 1);
-  for (const char *T : Tenants)
-    EXPECT_GE(Stats.get("tenants").get(T).get("admitted").asInt(), 1)
-        << "tenant " << T << " missing from the stats ledger";
-  ASSERT_TRUE(Stats.get("remote_hits").isNumber());
-  int64_t HitsBefore = Stats.get("remote_hits").asInt();
-
-  // Recovery: with the store back, a source first computed under one
-  // cache directory is a remote hit under a fresh one — the tier
-  // re-dialed after the outages and serves the exact bytes.
-  for (const char *Tier : {"/probe-a", "/probe-b"}) {
-    CheckRequest Req;
-    Req.Source = SoakSources[0];
-    Req.CacheDir = Dir + Tier;
-    CheckResponse Resp;
-    ASSERT_TRUE(C.check(Req, Resp, Err)) << Err;
-    ASSERT_TRUE(Resp.Ok) << Resp.Message;
-    EXPECT_EQ(respSnapshot(Resp), Golden[0]);
+  // Recovery, in three restarts. The first probe round heals whatever
+  // the load left damaged. Then one entry is damaged: after the second
+  // restart its probe is a counted drop and the other two are disk
+  // hits. After the third, every probe is a disk hit. Every answer is
+  // exact throughout.
+  std::mt19937 ProbeRng(Seed ^ 0xfeed);
+  for (int Round = 0; Round != 3; ++Round) {
+    if (Round == 1) {
+      ASSERT_TRUE(damageOneEntry(SO.CacheDir, ProbeRng));
+    }
+    ASSERT_TRUE(restart());
+    std::string Err;
+    service::Client C = service::Client::connectTcp(Addr, Token, Err);
+    ASSERT_TRUE(C.connected()) << Err;
+    unsigned Hits = 0, Dropped = 0;
+    for (size_t I = 0; I != SoakSources.size(); ++I) {
+      CheckRequest Req;
+      Req.Source = SoakSources[I];
+      CheckResponse Resp;
+      ASSERT_TRUE(C.check(Req, Resp, Err)) << Err;
+      ASSERT_TRUE(Resp.Ok) << Resp.Message;
+      EXPECT_EQ(respSnapshot(Resp), Golden[I]);
+      EXPECT_EQ(Resp.CacheHits + Resp.CacheDroppedEntries, 1u)
+          << "source " << I << " neither hit nor met a damaged entry";
+      Hits += Resp.CacheHits;
+      Dropped += Resp.CacheDroppedEntries;
+    }
+    support::Json Stats;
+    ASSERT_TRUE(C.stats(Stats, Err)) << Err;
+    EXPECT_EQ(Stats.get("disk_hits").asInt(), static_cast<int64_t>(Hits));
+    if (Round == 1) {
+      EXPECT_EQ(Dropped, 1u) << "the damaged entry went unnoticed";
+      EXPECT_EQ(Hits, SoakSources.size() - 1);
+    } else if (Round == 2) {
+      EXPECT_EQ(Dropped, 0u) << "the damaged entry was not healed";
+      EXPECT_EQ(Hits, SoakSources.size());
+    }
   }
-  ASSERT_TRUE(C.stats(Stats, Err)) << Err;
-  EXPECT_GT(Stats.get("remote_hits").asInt(), HitsBefore)
-      << "the remote tier never recovered from the outages";
-
-  Srv.stop();
-  if (Cached)
-    Cached->stop();
+  Srv->stop();
 }
 
 } // namespace

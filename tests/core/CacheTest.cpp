@@ -10,20 +10,24 @@
 /// source edit — must be byte-identical to runs without it, at every job
 /// count. Invalidation must flow up the call graph: editing one function
 /// recomputes exactly it and its transitive callers, while untouched
-/// functions replay as hits. A corrupt or stale cache file must degrade
-/// to a cold run, never to wrong output.
+/// functions replay as hits. A damaged, foreign or stale entry file must
+/// degrade to a recompute, never to wrong output, and processes or
+/// threads sharing one directory must never lose each other's entries.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/AutoCorres.h"
 #include "core/ResultCache.h"
+#include "support/Fingerprint.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -127,9 +131,35 @@ protected:
   }
   void TearDown() override { std::filesystem::remove_all(Dir); }
 
-  std::string cacheFilePath() const {
+  /// The entry file of function \p Name under \p Key.
+  std::string entryPath(const std::string &Name, uint64_t Key) const {
     return Dir + "/accache-v" +
-           std::to_string(core::ResultCache::FormatVersion) + ".txt";
+           std::to_string(core::ResultCache::FormatVersion) + "/" + Name +
+           "/" + support::Fingerprint::hex(Key);
+  }
+
+  /// Every file under the entry tree, as paths relative to it.
+  std::vector<std::string> entryFiles() const {
+    std::vector<std::string> Out;
+    std::string Root = Dir + "/accache-v" +
+                       std::to_string(core::ResultCache::FormatVersion);
+    std::error_code EC;
+    for (auto It = std::filesystem::recursive_directory_iterator(Root, EC);
+         !EC && It != std::filesystem::recursive_directory_iterator();
+         It.increment(EC))
+      if (It->is_regular_file())
+        Out.push_back(
+            std::filesystem::relative(It->path(), Root).string());
+    std::sort(Out.begin(), Out.end());
+    return Out;
+  }
+
+  /// The keys a run over \p Src gives each function.
+  std::map<std::string, uint64_t> keysOf(const std::string &Src) const {
+    DiagEngine Diags;
+    auto AC = core::AutoCorres::run(Src, Diags, core::ACOptions());
+    EXPECT_TRUE(AC) << Diags.str();
+    return core::computeFunctionKeys(AC->program(), {}, {});
   }
 
   std::string Dir;
@@ -149,7 +179,13 @@ TEST_F(CacheTest, ColdAndWarmMatchUncachedRun) {
   EXPECT_EQ(Cold.Stats.CacheMisses, 5u);
   EXPECT_EQ(Cold.Stats.CacheInvalidations, 0u);
   expectIdentical(Ref, Cold, "uncached vs cold");
-  EXPECT_TRUE(std::filesystem::exists(cacheFilePath()));
+  // One immutable entry file per function, named by its key, and no
+  // temp file left behind.
+  std::vector<std::string> Want;
+  for (const auto &[Name, Key] : keysOf(Src))
+    Want.push_back(Name + "/" + support::Fingerprint::hex(Key));
+  std::sort(Want.begin(), Want.end());
+  EXPECT_EQ(entryFiles(), Want);
 
   Snapshot Warm = runWith(Src, Dir);
   EXPECT_EQ(Warm.Stats.CacheHits, 5u);
@@ -178,12 +214,14 @@ TEST_F(CacheTest, InvalidationFlowsUpTheCallGraphOnly) {
   EXPECT_EQ(Warm.Stats.CacheHits, 5u);
   EXPECT_EQ(Warm.Stats.CacheMisses, 0u);
 
-  // And switching back revalidates nothing incorrectly: the old entries
-  // were replaced under the same names, so the original source misses on
-  // the chain again and still matches an uncached run byte for byte.
+  // Reverting the edit (the A -> B -> A of an edit-and-undo session)
+  // finds the original entries still on disk: entry files are keyed by
+  // content, so the edit added entries beside them instead of replacing
+  // them. Fully warm, nothing invalidated, byte-identical.
   Snapshot Back = runWith(Before, Dir);
-  EXPECT_EQ(Back.Stats.CacheHits, 2u);
-  EXPECT_EQ(Back.Stats.CacheInvalidations, 3u);
+  EXPECT_EQ(Back.Stats.CacheHits, 5u);
+  EXPECT_EQ(Back.Stats.CacheMisses, 0u);
+  EXPECT_EQ(Back.Stats.CacheInvalidations, 0u);
   expectIdentical(runWith(Before, /*CacheDir=*/""), Back,
                   "uncached vs reverted");
 }
@@ -206,53 +244,77 @@ TEST_F(CacheTest, WarmReplayIsJobCountInvariant) {
   expectIdentical(Ref, Warm4, "uncached vs warm Jobs=4");
 }
 
-TEST_F(CacheTest, CorruptCacheFileIsACleanMiss) {
+TEST_F(CacheTest, DamagedOrForeignEntryFilesAreCountedMisses) {
   std::string Src = chainSource("x + 1u");
+  Snapshot Ref = runWith(Src, /*CacheDir=*/"");
   runWith(Src, Dir);
-  ASSERT_TRUE(std::filesystem::exists(cacheFilePath()));
+  std::map<std::string, uint64_t> Keys = keysOf(Src);
 
-  {
-    std::ofstream Out(cacheFilePath(), std::ios::binary | std::ios::trunc);
-    Out << "ACCACHE 1\nentry zzzz-not-a-key\nname \x01\x02 garbage\n";
-  }
-  Snapshot AfterCorrupt = runWith(Src, Dir);
-  EXPECT_EQ(AfterCorrupt.Stats.CacheHits, 0u);
-  EXPECT_EQ(AfterCorrupt.Stats.CacheMisses, 5u);
-  expectIdentical(runWith(Src, /*CacheDir=*/""), AfterCorrupt,
-                  "uncached vs corrupt-cache");
-
-  // The cold run rewrote the file: warmth is restored.
-  Snapshot Warm = runWith(Src, Dir);
-  EXPECT_EQ(Warm.Stats.CacheHits, 5u);
-}
-
-TEST_F(CacheTest, StaleFormatVersionIsACleanMiss) {
-  std::string Src = chainSource("x + 1u");
-  runWith(Src, Dir);
-
-  // Pretend a future format wrote this file: the header mismatch must
-  // discard every entry, not misparse them.
-  std::string Contents;
-  {
-    std::ifstream In(cacheFilePath(), std::ios::binary);
+  auto readBytes = [](const std::string &P) {
+    std::ifstream In(P, std::ios::binary);
     std::ostringstream Buf;
     Buf << In.rdbuf();
-    Contents = Buf.str();
-  }
-  const std::string Header =
-      "ACCACHE " + std::to_string(core::ResultCache::FormatVersion);
-  ASSERT_EQ(Contents.rfind(Header, 0), 0u);
-  Contents.replace(0, Header.size(), "ACCACHE 9");
-  {
-    std::ofstream Out(cacheFilePath(), std::ios::binary | std::ios::trunc);
-    Out << Contents;
-  }
+    return Buf.str();
+  };
+  auto writeBytes = [](const std::string &P, const std::string &Bytes) {
+    std::ofstream Out(P, std::ios::binary | std::ios::trunc);
+    Out << Bytes;
+  };
 
-  Snapshot Stale = runWith(Src, Dir);
-  EXPECT_EQ(Stale.Stats.CacheHits, 0u);
-  EXPECT_EQ(Stale.Stats.CacheMisses, 5u);
-  expectIdentical(runWith(Src, /*CacheDir=*/""), Stale,
-                  "uncached vs stale-version");
+  // Three kinds of damage on three functions: a truncated file (a torn
+  // write), one flipped bit, and a foreign file (a valid entry of
+  // another function copied over this one).
+  std::string Leaf = entryPath("leaf", Keys.at("leaf"));
+  std::string Lone = entryPath("lone", Keys.at("lone"));
+  std::string Bump = entryPath("bump", Keys.at("bump"));
+  std::string Bytes = readBytes(Leaf);
+  writeBytes(Leaf, Bytes.substr(0, Bytes.size() / 2));
+  Bytes = readBytes(Lone);
+  Bytes[Bytes.size() / 3] ^= 0x01;
+  writeBytes(Lone, Bytes);
+  writeBytes(Bump, readBytes(entryPath("top", Keys.at("top"))));
+
+  Snapshot Damaged = runWith(Src, Dir);
+  EXPECT_EQ(Damaged.Stats.CacheDroppedEntries, 3u);
+  EXPECT_EQ(Damaged.Stats.CacheHits, 2u);
+  EXPECT_EQ(Damaged.Stats.CacheMisses, 3u);
+  expectIdentical(Ref, Damaged, "uncached vs damaged entries");
+
+  // The recompute overwrote the three files: warmth is restored and
+  // this run met no damage.
+  Snapshot Warm = runWith(Src, Dir);
+  EXPECT_EQ(Warm.Stats.CacheHits, 5u);
+  EXPECT_EQ(Warm.Stats.CacheDroppedEntries, 0u);
+  expectIdentical(Ref, Warm, "uncached vs healed");
+}
+
+TEST_F(CacheTest, StaleSingleFileStoreIsIgnored) {
+  // A directory last used by the single-file store (format v2) still
+  // holds its accache-v2.txt. The entry tree never reads it: the run is
+  // cold, meets no damage, and leaves the old file as it was.
+  std::filesystem::create_directories(Dir);
+  core::CachedFunc Old;
+  Old.Key = 0x1234;
+  Old.Name = "leaf";
+  Old.Render = "stale render";
+  const std::string Stale =
+      "ACCACHE 2\n" + core::serializeCachedFunc(Old) + "garbage\n";
+  {
+    std::ofstream Out(Dir + "/accache-v2.txt", std::ios::binary);
+    Out << Stale;
+  }
+  std::string Src = chainSource("x + 1u");
+  Snapshot Run = runWith(Src, Dir);
+  EXPECT_EQ(Run.Stats.CacheHits, 0u);
+  EXPECT_EQ(Run.Stats.CacheMisses, 5u);
+  EXPECT_EQ(Run.Stats.CacheInvalidations, 0u);
+  EXPECT_EQ(Run.Stats.CacheDroppedEntries, 0u);
+  expectIdentical(runWith(Src, /*CacheDir=*/""), Run,
+                  "uncached vs stale-store");
+  std::ifstream In(Dir + "/accache-v2.txt", std::ios::binary);
+  std::ostringstream Buf;
+  Buf << In.rdbuf();
+  EXPECT_EQ(Buf.str(), Stale);
 }
 
 TEST_F(CacheTest, OptionChangesInvalidate) {
@@ -273,15 +335,32 @@ TEST_F(CacheTest, OptionChangesInvalidate) {
   EXPECT_EQ(AC->stats().CacheHits, 2u);
 }
 
+TEST_F(CacheTest, NonIdentifierNamesNeverBecomePaths) {
+  // Only C identifiers name entry directories: anything else stays in
+  // the memory tier and never reaches the file system.
+  core::ResultCache C(Dir);
+  core::CachedFunc E;
+  E.Key = 0xE71;
+  E.Name = "../escape";
+  E.Render = "render";
+  C.insert(E);
+  EXPECT_NE(C.lookup("../escape", 0xE71), nullptr);
+  EXPECT_TRUE(entryFiles().empty());
+  EXPECT_FALSE(std::filesystem::exists(Dir + "/escape"));
+
+  core::ResultCache Fresh(Dir);
+  EXPECT_EQ(Fresh.lookup("../escape", 0xE71), nullptr);
+  EXPECT_FALSE(Fresh.knowsFunction("../escape"));
+}
+
 //===----------------------------------------------------------------------===//
-// Concurrent writers (the advisory file lock + merge-on-save path)
+// Writers sharing one directory (write-through entry files)
 //===----------------------------------------------------------------------===//
 
-TEST_F(CacheTest, SaveMergesWithAConcurrentWritersFile) {
-  // Writer A loads (empty), then B loads, inserts and saves; A's later
-  // save must keep B's entry rather than clobbering the file with its
-  // own pre-B view — the read-merge-write under the exclusive lock.
-  std::filesystem::create_directories(Dir);
+TEST_F(CacheTest, InstancesShareEntriesThroughTheDirectory) {
+  // A is constructed first and B inserts afterwards: A still serves B's
+  // entry (read from its file on a memory miss) and knows B's function.
+  // Nothing is locked and nothing waits for a save.
   core::ResultCache A(Dir);
   {
     core::ResultCache B(Dir);
@@ -290,29 +369,32 @@ TEST_F(CacheTest, SaveMergesWithAConcurrentWritersFile) {
     E.Name = "from_b";
     E.Render = "render b";
     B.insert(std::move(E));
-    ASSERT_TRUE(B.save());
   }
   core::CachedFunc E;
   E.Key = 0xA11CE;
   E.Name = "from_a";
   E.Render = "render a";
   A.insert(std::move(E));
-  ASSERT_TRUE(A.save());
+  EXPECT_TRUE(A.knowsFunction("from_b"));
+  ASSERT_NE(A.lookup("from_b", 0xB0B), nullptr);
+  EXPECT_EQ(A.lookup("from_b", 0xB0B)->Render, "render b");
+  EXPECT_EQ(A.diskHits(), 1u);
 
   core::ResultCache Final(Dir);
-  EXPECT_EQ(Final.size(), 2u);
   EXPECT_TRUE(Final.knowsFunction("from_a"));
   EXPECT_TRUE(Final.knowsFunction("from_b"));
-  EXPECT_TRUE(Final.lookup(0xB0B) != nullptr);
-  EXPECT_TRUE(std::filesystem::exists(Dir + "/accache.lock"));
+  EXPECT_NE(Final.lookup("from_a", 0xA11CE), nullptr);
+  EXPECT_NE(Final.lookup("from_b", 0xB0B), nullptr);
+  EXPECT_EQ(Final.diskHits(), 2u);
+  EXPECT_FALSE(std::filesystem::exists(Dir + "/accache.lock"))
+      << "the directory store takes no lock";
 }
 
-TEST_F(CacheTest, RecomputeSupersedesAConcurrentWritersEntry) {
-  // Both writers computed `shared`, under different keys (say the
-  // source changed between their loads). Whoever saves last wins for
-  // that name — but there must be exactly one `shared` entry, never a
-  // stale duplicate under the old key.
-  std::filesystem::create_directories(Dir);
+TEST_F(CacheTest, EveryKeyOfANameStaysServable) {
+  // Two writers computed `shared` under different keys (say the source
+  // changed between their runs). Entry files are immutable and keyed by
+  // content, so both stay on disk and both keys keep serving; the memory
+  // tier still holds one entry per name.
   auto makeEntry = [](uint64_t Key) {
     core::CachedFunc E;
     E.Key = Key;
@@ -322,49 +404,63 @@ TEST_F(CacheTest, RecomputeSupersedesAConcurrentWritersEntry) {
   };
   core::ResultCache A(Dir), B(Dir);
   A.insert(makeEntry(111));
-  ASSERT_TRUE(A.save());
   B.insert(makeEntry(222));
-  ASSERT_TRUE(B.save());
 
   core::ResultCache Final(Dir);
-  EXPECT_EQ(Final.size(), 1u);
   EXPECT_TRUE(Final.knowsFunction("shared"));
-  EXPECT_EQ(Final.lookup(111), nullptr);
-  ASSERT_TRUE(Final.lookup(222) != nullptr);
-  EXPECT_EQ(Final.lookup(222)->Render, "render 222");
+  ASSERT_NE(Final.lookup("shared", 111), nullptr);
+  EXPECT_EQ(Final.lookup("shared", 111)->Render, "render 111");
+  ASSERT_NE(Final.lookup("shared", 222), nullptr);
+  EXPECT_EQ(Final.lookup("shared", 222)->Render, "render 222");
+  EXPECT_EQ(Final.size(), 1u) << "memory keeps one entry per name";
+  EXPECT_EQ(Final.lookup("shared", 333), nullptr);
 }
 
-TEST_F(CacheTest, TwoWriterStressLosesNoEntries) {
-  // Two threads hammer the same cache directory with interleaved
-  // load/insert/save cycles (flock attaches to the open file
-  // description, so two in-process instances genuinely contend). The
-  // merge-on-save contract: no writer's entries are ever lost.
-  std::filesystem::create_directories(Dir);
+TEST_F(CacheTest, ConcurrentWritersLoseNoEntries) {
+  // Two threads, each with its own instance per round, and two threads
+  // sharing one instance, all write into one directory at once. Every
+  // pair of threads also rewrites one common key each round, so
+  // same-key writers race on the rename: temp names are per writer, and
+  // the published file must always be one complete entry.
   constexpr int Rounds = 25;
-  std::atomic<int> SaveFailures{0};
-  auto Writer = [&](unsigned Id) {
+  core::ResultCache Shared(Dir);
+  auto makeEntry = [](const std::string &Name, uint64_t Key) {
+    core::CachedFunc E;
+    E.Key = Key;
+    E.Name = Name;
+    E.Render = "render " + Name;
+    return E;
+  };
+  auto Writer = [&](unsigned Id, bool OwnInstance) {
     for (int R = 0; R != Rounds; ++R) {
-      core::ResultCache C(Dir);
-      core::CachedFunc E;
-      E.Key = Id * 1000u + static_cast<unsigned>(R) + 1;
-      E.Name =
-          "fn_" + std::to_string(Id) + "_" + std::to_string(R);
-      E.Render = "render " + E.Name;
-      C.insert(std::move(E));
-      if (!C.save())
-        SaveFailures.fetch_add(1);
+      core::ResultCache Own(Dir);
+      core::ResultCache &C = OwnInstance ? Own : Shared;
+      std::string Name = "fn_" + std::to_string(Id) + "_" + std::to_string(R);
+      C.insert(makeEntry(Name, Id * 1000u + static_cast<unsigned>(R) + 1));
+      C.insert(makeEntry(OwnInstance ? "common_own" : "common_shared", 7));
     }
   };
-  std::thread T1(Writer, 1), T2(Writer, 2);
+  std::thread T1(Writer, 1, true), T2(Writer, 2, true);
+  std::thread T3(Writer, 3, false), T4(Writer, 4, false);
   T1.join();
   T2.join();
-  EXPECT_EQ(SaveFailures.load(), 0);
+  T3.join();
+  T4.join();
 
   core::ResultCache Final(Dir);
-  EXPECT_EQ(Final.size(), 2u * Rounds);
-  for (unsigned Id = 1; Id <= 2; ++Id)
-    for (int R = 0; R != Rounds; ++R)
-      EXPECT_TRUE(Final.knowsFunction("fn_" + std::to_string(Id) + "_" +
-                                      std::to_string(R)))
-          << "lost entry of writer " << Id << " round " << R;
+  for (unsigned Id = 1; Id <= 4; ++Id)
+    for (int R = 0; R != Rounds; ++R) {
+      std::string Name = "fn_" + std::to_string(Id) + "_" + std::to_string(R);
+      core::CachedFuncRef E =
+          Final.lookup(Name, Id * 1000u + static_cast<unsigned>(R) + 1);
+      ASSERT_NE(E, nullptr) << "lost entry of writer " << Id << " round "
+                            << R;
+      EXPECT_EQ(E->Render, "render " + Name);
+    }
+  EXPECT_NE(Final.lookup("common_own", 7), nullptr);
+  EXPECT_NE(Final.lookup("common_shared", 7), nullptr);
+  EXPECT_EQ(Final.corruptDropped(), 0u);
+  for (const std::string &F : entryFiles())
+    EXPECT_EQ(F.find(".tmp."), std::string::npos)
+        << "temp file left behind: " << F;
 }

@@ -640,7 +640,7 @@ TEST_F(ServiceTest, WarmCacheSurvivesDrainAndRestart) {
     ASSERT_TRUE(C.check(Req, Resp, Err)) << Err;
     expectMatchesRef(Resp, Ref, "first daemon, cold");
     EXPECT_GT(Resp.CacheMisses, 0u);
-    Srv.stop(); // drains and flushes the tier to disk
+    Srv.stop(); // drains; the entries were written through already
   }
   ASSERT_TRUE(std::filesystem::exists(CacheDir));
 
@@ -660,6 +660,94 @@ TEST_F(ServiceTest, WarmCacheSurvivesDrainAndRestart) {
     EXPECT_GT(Resp.CacheHits, 0u);
     Srv.stop();
   }
+}
+
+TEST_F(ServiceTest, DaemonsShareADirectoryWithoutADrain) {
+  // Two daemons run over one cache directory at the same time. The
+  // second serves the first's results from their entry files while the
+  // first is still running: nothing waits for a drain, so a daemon that
+  // is killed instead of drained loses nothing it computed.
+  std::string CacheDir = Root + "/cache";
+  RefRun Ref = inProcessRun(corpus::reverseSource());
+  ServerOptions OA = baseOpts();
+  OA.CacheDir = CacheDir;
+  Server A(OA);
+  ASSERT_TRUE(A.start());
+  CheckRequest Req;
+  Req.Source = corpus::reverseSource();
+  CheckResponse Resp;
+  std::string Err;
+  {
+    Client C = Client::connect(SockPath);
+    ASSERT_TRUE(C.check(Req, Resp, Err)) << Err;
+    expectMatchesRef(Resp, Ref, "first daemon, cold");
+  }
+
+  ServerOptions OB = baseOpts();
+  OB.SocketPath = Root + "/acd-b.sock";
+  OB.CacheDir = CacheDir;
+  Server B(OB);
+  ASSERT_TRUE(B.start());
+  Client CB = Client::connect(OB.SocketPath);
+  CheckResponse Warm;
+  ASSERT_TRUE(CB.check(Req, Warm, Err)) << Err;
+  expectMatchesRef(Warm, Ref, "second daemon, same directory");
+  EXPECT_EQ(Warm.CacheMisses, 0u);
+  EXPECT_EQ(Warm.CacheHits, Ref.Names.size());
+  Json St;
+  ASSERT_TRUE(CB.stats(St, Err)) << Err;
+  EXPECT_EQ(St.get("disk_hits").asInt(),
+            static_cast<int64_t>(Ref.Names.size()));
+  B.stop();
+  A.stop();
+}
+
+TEST_F(ServiceTest, DroppedEntriesAreReportedByTheRequestThatMetThem) {
+  // One damaged entry file: the request that reads it reports
+  // cache_dropped 1 and recomputes byte-identically; the next request
+  // reports 0 (the daemon's lifetime count is not repeated) and hits.
+  std::string CacheDir = Root + "/cache";
+  const std::string Src =
+      "unsigned int inc(unsigned int x) { return x + 1u; }\n"
+      "unsigned int twice(unsigned int x) { return inc(inc(x)); }\n";
+  RefRun Ref = inProcessRun(Src);
+  ASSERT_GT(Ref.Names.size(), 1u);
+  DiagEngine Diags;
+  core::ACOptions Seed;
+  Seed.CacheDir = CacheDir;
+  ASSERT_TRUE(core::AutoCorres::run(Src, Diags, Seed));
+  std::string Victim;
+  for (const auto &E : std::filesystem::recursive_directory_iterator(
+           CacheDir))
+    if (E.is_regular_file()) {
+      Victim = E.path().string();
+      break;
+    }
+  ASSERT_FALSE(Victim.empty());
+  std::filesystem::resize_file(Victim,
+                               std::filesystem::file_size(Victim) / 2);
+
+  ServerOptions O = baseOpts();
+  O.CacheDir = CacheDir;
+  Server Srv(O);
+  ASSERT_TRUE(Srv.start());
+  Client C = Client::connect(SockPath);
+  CheckRequest Req;
+  Req.Source = Src;
+  std::string Err;
+  CheckResponse First;
+  ASSERT_TRUE(C.check(Req, First, Err)) << Err;
+  expectMatchesRef(First, Ref, "request meeting the damaged entry");
+  EXPECT_EQ(First.CacheDroppedEntries, 1u);
+  EXPECT_EQ(First.CacheMisses, 1u);
+
+  CheckResponse Next;
+  ASSERT_TRUE(C.check(Req, Next, Err)) << Err;
+  expectMatchesRef(Next, Ref, "next request");
+  EXPECT_EQ(Next.CacheDroppedEntries, 0u);
+  EXPECT_EQ(Next.CacheMisses, 0u);
+  EXPECT_EQ(Next.CacheHits, Ref.Names.size());
+  Srv.stop();
 }
 
 TEST_F(ServiceTest, PerRequestOptionsAreHonoured) {
@@ -1055,6 +1143,10 @@ TEST_F(ServiceTest, UnsafeTraceIdsAreReplacedNeverUsedAsPaths) {
 }
 
 TEST_F(ServiceTest, PerRequestTraceFilesAreValidChromeJson) {
+  // Start as a fresh process would: tracing off until the daemon turns
+  // it on, so the very first request's trace must be complete.
+  support::Trace::stop();
+  support::Trace::reset();
   ServerOptions O = baseOpts();
   O.TraceDir = Root + "/traces";
   std::filesystem::create_directories(O.TraceDir);
@@ -1078,12 +1170,26 @@ TEST_F(ServiceTest, PerRequestTraceFilesAreValidChromeJson) {
   Json J;
   ASSERT_TRUE(Json::parse(SS.str(), J, Err)) << Err;
   ASSERT_TRUE(J.get("traceEvents").isArray());
-  // The served pipeline's phases are in there.
-  bool SawFn = false;
-  for (const Json &E : J.get("traceEvents").items())
-    if (E.get("name").asString() == "core.fn")
+  // The served pipeline's phases are in there, and the request span
+  // carries our trace id with a queue-wait child chained under it.
+  bool SawFn = false, SawReq = false, SawWait = false;
+  for (const Json &E : J.get("traceEvents").items()) {
+    const std::string &Name = E.get("name").asString();
+    if (Name == "core.fn")
       SawFn = true;
+    const Json &Args = E.get("args");
+    if (Args.get("trace_id").asString() != "trace-json-check")
+      continue;
+    if (Name == "acd.request")
+      SawReq = true;
+    if (Name == "acd.queue_wait") {
+      SawWait = true;
+      EXPECT_FALSE(Args.get("parent").asString().empty());
+    }
+  }
   EXPECT_TRUE(SawFn) << "per-request trace carries no pipeline spans";
+  EXPECT_TRUE(SawReq);
+  EXPECT_TRUE(SawWait);
   Srv.stop();
 }
 
@@ -1167,56 +1273,6 @@ TEST_F(ServiceTest, MetricsRequestServesPrometheusText) {
   EXPECT_GT(SampleValue("acd_phase_parse_cpu_seconds_total"), 0.0);
   EXPECT_GT(SampleValue("acd_phase_abstract_cpu_seconds_total"), 0.0);
   Srv.stop();
-}
-
-TEST_F(ServiceTest, TracePullDrainsLiveSpansExactlyOnce) {
-  support::Trace::reset();
-  ServerOptions O = baseOpts();
-  O.TraceLive = true;
-  Server Srv(O);
-  ASSERT_TRUE(Srv.start());
-  Client C = Client::connect(SockPath);
-  ASSERT_TRUE(C.connected());
-  CheckRequest Req;
-  Req.Source = corpus::swapSource();
-  Req.TraceId = "fleet-pull-1";
-  CheckResponse Resp;
-  std::string Err;
-  ASSERT_TRUE(C.check(Req, Resp, Err)) << Err;
-  ASSERT_TRUE(Resp.Ok);
-
-  Json Pull;
-  ASSERT_TRUE(C.tracePull(Pull, Err)) << Err;
-  EXPECT_EQ(Pull.get("role").asString(), "shard");
-  EXPECT_GT(Pull.get("pid").asInt(), 0);
-  Json Frag;
-  ASSERT_TRUE(Json::parse(Pull.get("body").asString(), Frag, Err)) << Err;
-  ASSERT_TRUE(Frag.get("traceEvents").isArray());
-  // The request span carries our trace id, with a queue-wait child
-  // chained under it.
-  bool SawReq = false, SawWait = false;
-  for (const Json &E : Frag.get("traceEvents").items()) {
-    const Json &Args = E.get("args");
-    if (Args.get("trace_id").asString() != "fleet-pull-1")
-      continue;
-    if (E.get("name").asString() == "acd.request")
-      SawReq = true;
-    if (E.get("name").asString() == "acd.queue_wait") {
-      SawWait = true;
-      EXPECT_FALSE(Args.get("parent").asString().empty());
-    }
-  }
-  EXPECT_TRUE(SawReq) << Pull.get("body").asString();
-  EXPECT_TRUE(SawWait);
-  // The pull drained the buffers: a second pull has no events for the
-  // request (exactly-once fragment semantics).
-  Json Again;
-  ASSERT_TRUE(C.tracePull(Again, Err)) << Err;
-  EXPECT_EQ(Again.get("body").asString().find("fleet-pull-1"),
-            std::string::npos);
-  Srv.stop();
-  support::Trace::stop();
-  support::Trace::reset();
 }
 
 TEST_F(ServiceTest, FailedRequestsEmitStructuredLogLines) {

@@ -264,7 +264,7 @@ TEST_F(TraceTest, SpanIdsAreUniqueAndNonZero) {
 }
 
 TEST_F(TraceTest, NestedSpansChainParentIds) {
-  TraceContextScope Scope("ctx-test-1", 0);
+  TraceContextScope Scope("ctx-test-1");
   uint64_t OuterId, InnerId;
   {
     Span Outer("chain.outer");
@@ -289,46 +289,26 @@ TEST_F(TraceTest, NestedSpansChainParentIds) {
             std::to_string(OuterId));
   EXPECT_EQ(I[0].get("args").get("span").asString(),
             std::to_string(InnerId));
-  // The root span has no parent arg (its wire parent was 0).
+  // The root span has no parent arg (the scope installs none).
   EXPECT_FALSE(O[0].get("args").get("parent").isString());
 }
 
-TEST_F(TraceTest, ContextScopeInstallsWireParentAndRestores) {
+TEST_F(TraceTest, ContextScopeInstallsTraceIdAndRestores) {
   EXPECT_TRUE(Trace::context().TraceId.empty());
   {
-    TraceContextScope Scope("wire-trace", 777);
-    EXPECT_EQ(Trace::context().TraceId, "wire-trace");
-    EXPECT_EQ(Trace::context().ParentSpan, 777u);
+    Span Outer("scope.outer"); // an enclosing span the scope must hide
+    TraceContextScope Scope("request-trace");
+    EXPECT_EQ(Trace::context().TraceId, "request-trace");
+    EXPECT_EQ(Trace::context().ParentSpan, 0u);
     {
-      Span S("wire.child");
+      Span S("scope.child");
     }
   }
   EXPECT_TRUE(Trace::context().TraceId.empty());
   EXPECT_EQ(Trace::context().ParentSpan, 0u);
   Json J = parseTrace();
-  auto C = eventsNamed(J, "wire.child");
+  auto C = eventsNamed(J, "scope.child");
   ASSERT_EQ(C.size(), 1u);
-  EXPECT_EQ(C[0].get("args").get("parent").asString(), "777");
-}
-
-TEST_F(TraceTest, ExportWithResetDrainsBuffers) {
-  {
-    AC_SPAN("pull.once");
-  }
-  std::string First = Trace::exportJson(/*Reset=*/true);
-  EXPECT_NE(First.find("pull.once"), std::string::npos);
-  EXPECT_EQ(Trace::eventCount(), 0u);
-  std::string Again = Trace::exportJson(/*Reset=*/true);
-  EXPECT_EQ(Again.find("pull.once"), std::string::npos);
-}
-
-TEST_F(TraceTest, ExportEmbedsRoleAndAnchor) {
-  Trace::setRole("shard");
-  {
-    AC_SPAN("anchored");
-  }
-  Json J = parseTrace();
-  EXPECT_EQ(J.get("otherData").get("role").asString(), "shard");
-  EXPECT_GT(J.get("otherData").get("anchorUnixUs").asNumber(), 0.0);
-  Trace::setRole("");
+  EXPECT_EQ(C[0].get("args").get("trace_id").asString(), "request-trace");
+  EXPECT_FALSE(C[0].get("args").get("parent").isString());
 }

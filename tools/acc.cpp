@@ -46,7 +46,7 @@ void usage(const char *Argv0) {
       stderr,
       "usage: %s [options] [file.c | -]\n"
       "  --socket PATH     daemon socket (default: acd.sock)\n"
-      "  --connect H:P     dial a daemon (acd or accached) over TCP\n"
+      "  --connect H:P     dial an acd over TCP\n"
       "                    instead of a local daemon socket\n"
       "  --auth-token-file F present the shared token in F when dialing\n"
       "                    a --connect endpoint\n"

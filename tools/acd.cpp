@@ -8,12 +8,13 @@
 //   acd --socket /tmp/acd.sock --workers 2 --queue 8 --jobs 4
 //
 // SIGTERM / SIGINT (or a client `drain` request) trigger a graceful
-// drain: in-flight and queued requests finish, cache tiers are flushed
-// to disk, new work is refused, then the process exits 0.
+// drain: in-flight and queued requests finish, new work is refused, then
+// the process exits 0. Cache entries need no flush: each one is written
+// through to --cache-dir when it is computed, so several acd processes
+// can share one directory and a SIGKILLed one loses nothing.
 //
 //===----------------------------------------------------------------------===//
 
-#include "cache/RemoteCache.h"
 #include "service/Server.h"
 #include "support/Log.h"
 
@@ -22,7 +23,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
-#include <memory>
 #include <string>
 
 using namespace ac::service;
@@ -34,21 +34,18 @@ void usage(const char *Argv0) {
       stderr,
       "usage: %s [options]\n"
       "  --socket PATH      listening Unix socket (default: acd.sock;\n"
-      "                     `none` disables it for TCP-only shards)\n"
+      "                     `none` disables it for a TCP-only daemon)\n"
       "  --listen HOST:PORT additionally listen on TCP (port 0 picks an\n"
       "                     ephemeral port, printed at startup)\n"
       "  --auth-token-file F require the shared token in F on every TCP\n"
       "                     connection (first-frame auth handshake)\n"
-      "  --shard-id NAME    label every Prometheus metric with\n"
-      "                     shard_id=\"NAME\" (fleet aggregation)\n"
-      "  --remote-cache A   use the accached daemon at A (host:port or\n"
-      "                     Unix path) as a third cache tier\n"
-      "  --remote-token-file F token file for --remote-cache dials\n"
+
       "  --workers N        concurrent check sessions (default: 2)\n"
       "  --queue N          admission queue capacity (default: 8)\n"
       "  --jobs N           default abstraction jobs per request\n"
       "                     (default: $AC_JOBS, 1 when unset)\n"
-      "  --cache-dir DIR    default abstraction-cache directory\n"
+      "  --cache-dir DIR    default abstraction-cache directory (may be\n"
+      "                     shared by several acd processes)\n"
       "  --retry-after-ms N backpressure retry hint (default: 50)\n"
       "  --tenant-quota-rps N per-tenant admission quota in requests/s\n"
       "                     (token bucket; default: 0 = no quotas)\n"
@@ -58,8 +55,7 @@ void usage(const char *Argv0) {
       "                     bulk work is shed (default: 16)\n"
       "  --trace-dir DIR    write a Chrome trace JSON per request to\n"
       "                     DIR/<trace_id>.json (best-effort)\n"
-      "  --trace            keep spans in memory for the `trace_pull`\n"
-      "                     op (fleet tracing; wins over --trace-dir)\n"
+
       "  --cert-dir DIR     write a proof certificate per request to\n"
       "                     DIR/<trace_id>.acpc, checkable with `acpc`\n"
       "                     (best-effort)\n"
@@ -84,8 +80,6 @@ bool parseUnsigned(const char *S, unsigned &Out) {
 int main(int argc, char **argv) {
   ServerOptions Opts;
   Opts.SocketPath = "acd.sock";
-  std::string RemoteAddr;
-  std::string RemoteToken;
 
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
@@ -111,26 +105,6 @@ int main(int argc, char **argv) {
       const char *V = Next();
       if (!V || !readTokenFile(V, Opts.AuthToken)) {
         std::fprintf(stderr, "acd: cannot read auth token file\n");
-        return 2;
-      }
-    } else if (Arg == "--shard-id") {
-      const char *V = Next();
-      if (!V) {
-        usage(argv[0]);
-        return 2;
-      }
-      Opts.ShardId = V;
-    } else if (Arg == "--remote-cache") {
-      const char *V = Next();
-      if (!V) {
-        usage(argv[0]);
-        return 2;
-      }
-      RemoteAddr = V;
-    } else if (Arg == "--remote-token-file") {
-      const char *V = Next();
-      if (!V || !readTokenFile(V, RemoteToken)) {
-        std::fprintf(stderr, "acd: cannot read remote token file\n");
         return 2;
       }
     } else if (Arg == "--workers" && Next() && parseUnsigned(argv[I], N)) {
@@ -165,8 +139,6 @@ int main(int argc, char **argv) {
         return 2;
       }
       Opts.TraceDir = V;
-    } else if (Arg == "--trace") {
-      Opts.TraceLive = true;
     } else if (Arg == "--cert-dir") {
       const char *V = Next();
       if (!V) {
@@ -207,14 +179,6 @@ int main(int argc, char **argv) {
   sigaddset(&Sigs, SIGINT);
   pthread_sigmask(SIG_BLOCK, &Sigs, nullptr);
 
-  // The remote cache tier is wired before the server starts so every
-  // cacheFor() slot sees it from the first request.
-  std::unique_ptr<ac::cache::RemoteCacheClient> Remote;
-  if (!RemoteAddr.empty()) {
-    Remote.reset(new ac::cache::RemoteCacheClient(RemoteAddr, RemoteToken));
-    Opts.Remote = Remote.get();
-  }
-
   Server Srv(Opts);
   if (!Srv.start()) {
     std::fprintf(stderr, "acd: cannot listen on %s\n",
@@ -235,7 +199,6 @@ int main(int argc, char **argv) {
       "daemon.started",
       {{"socket", Opts.SocketPath},
        {"listen", Opts.ListenAddr},
-       {"shard_id", Opts.ShardId},
        {"workers", Srv.options().Workers},
        {"queue", static_cast<uint64_t>(Srv.options().QueueCapacity)}});
 
@@ -249,7 +212,7 @@ int main(int argc, char **argv) {
 
   std::printf("acd: draining (finishing in-flight work)\n");
   std::fflush(stdout);
-  Srv.stop(); // drain + flush caches + teardown
+  Srv.stop(); // drain + teardown
   std::printf("acd: drained, bye\n");
   ac::support::Log::info("daemon.stopped", {});
   return 0;

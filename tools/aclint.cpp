@@ -17,13 +17,6 @@
 //       that name is at most PCT percent of the whole trace extent —
 //       the perf gate uses this to pin phase-share regressions.
 //
-//   aclint fleettrace <merged.json> [--min-pids N] [--expect-trace-id ID]
-//       The file is a merged fleet trace (actrace output): every
-//       trace-carrying event agrees on one trace id, the spans come from
-//       at least N distinct pids, and every parent span reference
-//       resolves to a recorded span — the cross-process request chain
-//       has no orphans.
-//
 //   aclint metrics <file> [--require NAME]...        ("-" reads stdin)
 //       The file is Prometheus text exposition format 0.0.4: every
 //       sample line is `name[{labels}] value`, every sample's metric has
@@ -35,12 +28,12 @@
 //
 //   aclint fleet <file.json> [--min-speedup X] [--min-hit-rate R]
 //       The file is a BENCH_fleet.json as written by bench/fleet_throughput:
-//       a cold standalone baseline pass and a standalone + warm accached
-//       ("remote") pass, each with a positive requests/sec, ordered
-//       latency percentiles and zero correctness diffs, the remote pass
-//       with a hit rate in [0,1]. --min-speedup bounds the remote pass's
-//       speedup over the baseline from below; --min-hit-rate bounds its
-//       hit rate.
+//       a cold standalone baseline pass and a pass of the same daemon
+//       restarted over a warm shared cache directory ("shared_dir"),
+//       each with a positive requests/sec, ordered latency percentiles
+//       and zero correctness diffs, the shared_dir pass with a hit rate
+//       in [0,1]. --min-speedup bounds the shared_dir pass's speedup over
+//       the baseline from below; --min-hit-rate bounds its hit rate.
 //
 //   aclint cert <file.acpc> [--min-claims N] [--require-meta KEY]...
 //       The file has the proof-certificate *shape* (docs/PROTOCOL.md
@@ -217,81 +210,6 @@ int lintTrace(const std::string &Path,
 }
 
 //===----------------------------------------------------------------------===//
-// fleettrace mode
-//===----------------------------------------------------------------------===//
-
-/// Lints a *merged* fleet trace (actrace output): all trace-carrying
-/// events agree on one trace id, the spans come from at least
-/// \p MinPids distinct processes, and every parent reference resolves
-/// to a span recorded somewhere in the merged file — the cross-process
-/// chain (acd -> accached) has no orphans.
-int lintFleettrace(const std::string &Path, int MinPids,
-                   const std::string &ExpectTraceId) {
-  std::string Text;
-  if (!readAll(Path, Text)) {
-    finding("cannot read " + Path);
-    return 1;
-  }
-  Json J;
-  std::string Err;
-  if (!Json::parse(Text, J, Err)) {
-    finding(Path + ": not valid JSON: " + Err);
-    return 1;
-  }
-  if (!J.isObject() || !J.get("traceEvents").isArray()) {
-    finding(Path + ": no traceEvents array (not object-form Chrome JSON)");
-    return 1;
-  }
-
-  std::set<std::string> TraceIds, Spans;
-  std::set<double> Pids;
-  std::vector<std::pair<std::string, std::string>> ParentRefs;
-  size_t Carrying = 0, Idx = 0;
-  for (const Json &E : J.get("traceEvents").items()) {
-    std::string Where =
-        Path + ": traceEvents[" + std::to_string(Idx++) + "]";
-    if (!E.isObject() || E.get("ph").asString() == "M")
-      continue;
-    const Json &Args = E.get("args");
-    const std::string &Span = Args.get("span").asString();
-    if (!Span.empty())
-      Spans.insert(Span);
-    const std::string &Tid = Args.get("trace_id").asString();
-    if (Tid.empty())
-      continue;
-    ++Carrying;
-    TraceIds.insert(Tid);
-    Pids.insert(E.get("pid").asNumber());
-    if (Span.empty())
-      finding(Where + ": trace-carrying event without a span id");
-    const std::string &Par = Args.get("parent").asString();
-    if (!Par.empty())
-      ParentRefs.emplace_back(Where, Par);
-  }
-
-  if (Carrying == 0)
-    finding(Path + ": no trace-carrying events at all");
-  if (TraceIds.size() > 1) {
-    std::string All;
-    for (const std::string &T : TraceIds)
-      All += (All.empty() ? "" : ", ") + T;
-    finding(Path + ": " + std::to_string(TraceIds.size()) +
-            " distinct trace ids (want one request, one id): " + All);
-  }
-  if (!ExpectTraceId.empty() && !TraceIds.count(ExpectTraceId))
-    finding(Path + ": expected trace id `" + ExpectTraceId +
-            "` never appears");
-  if (MinPids > 0 && Pids.size() < static_cast<size_t>(MinPids))
-    finding(Path + ": spans come from " + std::to_string(Pids.size()) +
-            " process(es), expected >= " + std::to_string(MinPids));
-  for (const auto &[Where, Par] : ParentRefs)
-    if (!Spans.count(Par))
-      finding(Where + ": parent span `" + Par +
-              "` not recorded anywhere in the merged trace");
-  return Findings ? 1 : 0;
-}
-
-//===----------------------------------------------------------------------===//
 // metrics mode
 //===----------------------------------------------------------------------===//
 
@@ -420,7 +338,7 @@ int lintMetrics(const std::string &Path,
 // fleet mode
 //===----------------------------------------------------------------------===//
 
-/// Shape-checks one measured pass (the baseline or the remote pass):
+/// Shape-checks one measured pass (the baseline or the shared_dir pass):
 /// positive throughput, ordered percentiles, no lost requests.
 void lintFleetPass(const std::string &Where, const Json &P) {
   if (!P.isObject()) {
@@ -463,13 +381,13 @@ int lintFleet(const std::string &Path, double MinSpeedup,
     return 1;
   }
   lintFleetPass(Path + ": baseline", J.get("baseline"));
-  const Json &Remote = J.get("remote");
-  lintFleetPass(Path + ": remote", Remote);
-  const Json &Hit = Remote.get("remote_hit_rate");
+  const Json &Shared = J.get("shared_dir");
+  lintFleetPass(Path + ": shared_dir", Shared);
+  const Json &Hit = Shared.get("hit_rate");
   if (!Hit.isNumber() || Hit.asNumber() < 0 || Hit.asNumber() > 1)
-    finding(Path + ": remote: remote_hit_rate not in [0,1]");
+    finding(Path + ": shared_dir: hit_rate not in [0,1]");
   else if (Hit.asNumber() < MinHitRate)
-    finding(Path + ": remote: remote_hit_rate " +
+    finding(Path + ": shared_dir: hit_rate " +
             std::to_string(Hit.asNumber()) + " below bound " +
             std::to_string(MinHitRate));
   if (!J.get("speedup").isNumber())
@@ -613,8 +531,6 @@ int usage() {
       stderr,
       "usage: aclint trace <file.json> [--require-span NAME]...\n"
       "              [--min-wa N] [--min-hl N] [--max-span-share NAME:PCT]...\n"
-      "       aclint fleettrace <file.json> [--min-pids N]\n"
-      "              [--expect-trace-id ID]\n"
       "       aclint metrics <file|-> [--require NAME]...\n"
       "       aclint fleet <file.json> [--min-speedup X] [--min-hit-rate R]\n"
       "       aclint cert <file.acpc> [--min-claims N] [--require-meta KEY]...\n");
@@ -627,27 +543,6 @@ int main(int argc, char **argv) {
   if (argc < 3)
     return usage();
   std::string Mode = argv[1], Path = argv[2];
-  if (Mode == "fleettrace") {
-    int MinPids = 0;
-    std::string ExpectTraceId;
-    for (int I = 3; I < argc; ++I) {
-      std::string A = argv[I];
-      auto needArg = [&](const char *Flag) -> const char * {
-        if (I + 1 >= argc) {
-          std::fprintf(stderr, "aclint: %s needs an argument\n", Flag);
-          exit(2);
-        }
-        return argv[++I];
-      };
-      if (A == "--min-pids")
-        MinPids = std::atoi(needArg("--min-pids"));
-      else if (A == "--expect-trace-id")
-        ExpectTraceId = needArg("--expect-trace-id");
-      else
-        return usage();
-    }
-    return lintFleettrace(Path, MinPids, ExpectTraceId);
-  }
   if (Mode == "metrics") {
     std::vector<std::string> Require;
     for (int I = 3; I < argc; ++I) {
